@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-quick bench-check fmt vet
+.PHONY: build test race fuzz bench bench-quick bench-check results-serve fmt vet
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,10 @@ test:
 race:
 	$(GO) test -race ./internal/core ./internal/dynamic ./internal/faults ./internal/obs ./internal/par ./internal/recovery ./internal/serve ./internal/sim ./internal/snapshot ./internal/stack ./internal/task ./internal/trace
 
-# Coverage-guided fuzz of the trace/speed-profile/topology parsers and
-# the JSONL event-sink reader (mirrors the CI smoke job; go accepts one
-# -fuzz target per invocation).
+# Coverage-guided fuzz of the trace/speed-profile/topology parsers, the
+# JSONL event-sink reader and the graph builder against its reference
+# (mirrors the CI smoke job; go accepts one -fuzz target per
+# invocation).
 fuzz:
 	for target in FuzzReadTraceCSV FuzzReadTraceJSONL FuzzReadSpeedsCSV FuzzReadSpeedsJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/dynamic || exit 1; \
@@ -33,6 +34,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLog$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
 
 fmt:
 	gofmt -l .
@@ -49,6 +51,11 @@ bench:
 # The fast CI variant: same gates, shorter measurement.
 bench-quick:
 	$(GO) run ./cmd/benchrec -benchtime 200ms -out ""
+
+# Rewrite RESULTS_serve.txt from one lbserve HTTP load run (wall-clock
+# numbers, so plain go test only logs the table).
+results-serve:
+	$(GO) test ./cmd/lbserve -run '^TestServeLoadE2E$$' -count 1 -update
 
 # Same-machine certification of the acceptance speedup: every recorded
 # benchmark must beat the committed baseline by ≥ 3×.

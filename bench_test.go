@@ -567,6 +567,33 @@ func BenchmarkMixingTime(b *testing.B) {
 	}
 }
 
+// graphSink keeps BenchmarkGraphBuild's builds from being optimised away.
+var graphSink *graph.Graph
+
+// BenchmarkGraphBuild builds the graphs the paper's experiments and
+// the engine benchmarks run on: K_1000 (Figure 1, lbserve's default),
+// the 32×32 torus (Theorem 3) and the 1000-node 16-regular expander.
+// One op is one generator call, Build and its connectivity check
+// included. The allocs gates catch a map or a per-vertex sort coming
+// back into Build.
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		build func() *graph.Graph
+	}{
+		{"complete1000", func() *graph.Graph { return graph.Complete(1000) }},
+		{"torus32", func() *graph.Graph { return graph.Grid2D(32, 32, true) }},
+		{"expander1000x16", func() *graph.Graph { return graph.RandomRegular(1000, 16, newBenchRand()) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				graphSink = bc.build()
+			}
+		})
+	}
+}
+
 // checkpointBenchConfig is the BenchmarkDynamicRound10k workload with
 // a fixed horizon — the warm steady-state fleet the checkpoint
 // benchmarks snapshot (~8k live tasks across 10k resources). A fresh

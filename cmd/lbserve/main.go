@@ -229,6 +229,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	exp.PublishExpvar()
 	mux := exp.Mux()
 	lb.LiveRoutes(mux, rt)
+	// The signal handler must be live before the listener accepts: a
+	// supervisor (or test) that SIGTERMs right after the first healthy
+	// /healthz or the readyHook must hit the graceful path that drains
+	// and writes the snapshot, never the default handler.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("-addr: %w", err)
@@ -249,11 +255,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		g.Name(), g.N(), kind, nWorkers, *dispatch)
 	fmt.Fprintf(stdout, "lbserve: serving on %s (%s rounds, %s)\n", baseURL, mode, boot)
 
-	// The signal handler must be live before readyHook announces the
-	// server: a test that SIGTERMs right after the hook must hit the
-	// graceful path, never the default handler.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
 	if readyHook != nil {
 		readyHook(baseURL)
 	}

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -22,57 +23,85 @@ import (
 // form. Parallel edges and self-loops are not represented; generators
 // deduplicate. The zero value is an empty graph with no vertices.
 type Graph struct {
-	name string
-	off  []int32 // len N+1; neighbours of v are adj[off[v]:off[v+1]]
-	adj  []int32
+	name      string
+	off       []int32 // len N+1; neighbours of v are adj[off[v]:off[v+1]]
+	adj       []int32
+	connected bool // settled by Build, which every generator ends in
 }
 
 // Build constructs a Graph from an edge list over n vertices. Edges are
 // deduplicated, self-loops dropped, and endpoints validated.
+//
+// It counting-sorts both directions of every edge straight into CSR,
+// sorts each adjacency run, and compacts away repeated edges; a final
+// BFS settles Connected once for the graph's lifetime.
 func Build(name string, n int, edges [][2]int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	type edge struct{ u, v int32 }
-	set := make(map[edge]struct{}, len(edges))
+	off := make([]int32, n+1)
 	for _, e := range edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 		}
-		if u == v {
-			continue
+		if u != v {
+			off[u+1]++
+			off[v+1]++
 		}
-		if u > v {
-			u, v = v, u
-		}
-		set[edge{int32(u), int32(v)}] = struct{}{}
 	}
-	deg := make([]int32, n)
-	for e := range set {
-		deg[e.u]++
-		deg[e.v]++
-	}
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + deg[i]
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
 	adj := make([]int32, off[n])
-	cursor := make([]int32, n)
-	copy(cursor, off[:n])
-	for e := range set {
-		adj[cursor[e.u]] = e.v
-		cursor[e.u]++
-		adj[cursor[e.v]] = e.u
-		cursor[e.v]++
+	next := slices.Clone(off[:n])
+	for _, e := range edges {
+		if u, v := e[0], e[1]; u != v {
+			adj[next[u]] = int32(v)
+			next[u]++
+			adj[next[v]] = int32(u)
+			next[v]++
+		}
 	}
-	// Sort each adjacency run so neighbour order is deterministic.
-	g := &Graph{name: name, off: off, adj: adj}
+	// Sort each run so neighbour order is deterministic, drop repeated
+	// neighbours, and move the run down over the space earlier runs'
+	// repeats freed.
+	kept := int32(0)
 	for v := 0; v < n; v++ {
-		nb := g.adj[g.off[v]:g.off[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		run := adj[off[v]:off[v+1]]
+		slices.Sort(run)
+		off[v] = kept
+		kept += int32(copy(adj[kept:], slices.Compact(run)))
 	}
+	off[n] = kept
+	if int(kept) < len(adj) {
+		adj = slices.Clone(adj[:kept]) // release the repeats' space
+	}
+	g := &Graph{name: name, off: off, adj: adj}
+	g.connected = g.reachesAll()
 	return g
+}
+
+// reachesAll reports whether a BFS from vertex 0 reaches every vertex
+// (true for N ≤ 1). It stops once all are reached, so on a dense graph
+// it reads little more than vertex 0's neighbours.
+func (g *Graph) reachesAll() bool {
+	n := g.N()
+	if n <= 1 {
+		return true
+	}
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := make([]int32, 1, n)
+	for i := 0; i < len(queue) && len(queue) < n; i++ {
+		for _, w := range g.Neighbors(int(queue[i])) {
+			if !seen[w] {
+				seen[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // Name returns the generator-assigned human-readable name.
@@ -148,18 +177,9 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// Connected reports whether the graph is connected (true for N ≤ 1).
-func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
-		return true
-	}
-	for _, d := range g.BFS(0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
+// Connected reports whether the graph is connected (true for N ≤ 1,
+// the zero value included). Build settles it, so this is O(1).
+func (g *Graph) Connected() bool { return g.connected || g.N() <= 1 }
 
 // Diameter returns the largest hop distance between any pair, or -1 if
 // the graph is disconnected or empty. O(N·(N+M)): intended for the

@@ -1,11 +1,217 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+// buildReference is the map-based Build this package shipped before
+// the counting-sort rewrite, kept verbatim as the oracle that Build
+// must match byte for byte.
+func buildReference(name string, n int, edges [][2]int) *Graph {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
+	type edge struct{ u, v int32 }
+	set := make(map[edge]struct{}, len(edges))
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= n || v < 0 || v >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
+		}
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		set[edge{int32(u), int32(v)}] = struct{}{}
+	}
+	deg := make([]int32, n)
+	for e := range set {
+		deg[e.u]++
+		deg[e.v]++
+	}
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i] + deg[i]
+	}
+	adj := make([]int32, off[n])
+	cursor := make([]int32, n)
+	copy(cursor, off[:n])
+	for e := range set {
+		adj[cursor[e.u]] = e.v
+		cursor[e.u]++
+		adj[cursor[e.v]] = e.u
+		cursor[e.v]++
+	}
+	// Sort each adjacency run so neighbour order is deterministic.
+	g := &Graph{name: name, off: off, adj: adj}
+	for v := 0; v < n; v++ {
+		nb := g.adj[g.off[v]:g.off[v+1]]
+		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	}
+	return g
+}
+
+// sameCSR reports how got differs from want, or nil if their name,
+// size and CSR arrays are identical.
+func sameCSR(got, want *Graph) error {
+	switch {
+	case got.Name() != want.Name():
+		return fmt.Errorf("name %q, want %q", got.Name(), want.Name())
+	case got.N() != want.N() || got.M() != want.M():
+		return fmt.Errorf("%s: N=%d M=%d, want N=%d M=%d", want.Name(), got.N(), got.M(), want.N(), want.M())
+	case !slices.Equal(got.off, want.off):
+		return fmt.Errorf("%s: off %v, want %v", want.Name(), got.off, want.off)
+	case !slices.Equal(got.adj, want.adj):
+		return fmt.Errorf("%s: adj %v, want %v", want.Name(), got.adj, want.adj)
+	}
+	return nil
+}
+
+// connectedByBFS is the walk Connected made on every call before Build
+// settled the answer.
+func connectedByBFS(g *Graph) bool {
+	if g.N() <= 1 {
+		return true
+	}
+	for _, d := range g.BFS(0) {
+		if d < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBuild builds edges with both builders and requires the same
+// panic message or the same graph, whose Connected must match a BFS.
+func checkBuild(t *testing.T, name string, n int, edges [][2]int) {
+	t.Helper()
+	got, gotPanic := tryBuild(Build, name, n, edges)
+	want, wantPanic := tryBuild(buildReference, name, n, edges)
+	if gotPanic != wantPanic {
+		t.Fatalf("n=%d edges=%v: panic %q, reference panic %q", n, edges, gotPanic, wantPanic)
+	}
+	if want == nil {
+		return
+	}
+	if err := sameCSR(got, want); err != nil {
+		t.Fatalf("n=%d edges=%v: %v", n, edges, err)
+	}
+	if got.Connected() != connectedByBFS(got) {
+		t.Fatalf("n=%d edges=%v: Connected()=%v, BFS says %v", n, edges, got.Connected(), !got.Connected())
+	}
+}
+
+// tryBuild runs build, returning its panic message instead of the
+// graph if it panics.
+func tryBuild(build func(string, int, [][2]int) *Graph, name string, n int, edges [][2]int) (g *Graph, panicMsg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			g, panicMsg = nil, fmt.Sprint(r)
+		}
+	}()
+	return build(name, n, edges), ""
+}
+
+// TestBuildMatchesReference feeds both builders random edge lists full
+// of repeats, reversed pairs, self-loops and isolated vertices, over
+// n from 0 up, plus hand-picked edge cases.
+func TestBuildMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		edges [][2]int
+	}{
+		{0, nil},
+		{1, nil},
+		{1, [][2]int{{0, 0}, {0, 0}}},
+		{2, [][2]int{{1, 0}, {0, 1}, {1, 0}}},
+		{5, [][2]int{{4, 4}, {3, 1}}},
+		{3, [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 2}}},
+		{-1, nil},
+		{0, [][2]int{{0, 0}}},
+		{4, [][2]int{{0, 1}, {3, 4}}},
+		{4, [][2]int{{0, 1}, {-1, 2}}},
+		{4, [][2]int{{2, 2}, {1, -7}}},
+	} {
+		checkBuild(t, "case", tc.n, tc.edges)
+	}
+	r := rng.NewSeeded(0x5eed)
+	for trial := 0; trial < 400; trial++ {
+		n := r.Intn(40)
+		var edges [][2]int
+		if n > 0 {
+			// Endpoints come from a random subset of vertices, so some
+			// stay isolated, and each edge may repeat, reverse or loop.
+			span := 1 + r.Intn(n)
+			for i := r.Intn(4 * n); i > 0; i-- {
+				u, v := r.Intn(span), r.Intn(span)
+				edges = append(edges, [2]int{u, v})
+				if r.Bool(0.3) {
+					edges = append(edges, [2]int{v, u})
+				}
+				if r.Bool(0.1) {
+					edges = append(edges, [2]int{u, u})
+				}
+			}
+		}
+		checkBuild(t, fmt.Sprintf("random#%d", trial), n, edges)
+	}
+}
+
+// TestConnectedSettledByBuild checks the stored answer against a fresh
+// BFS on disconnected graphs, and that the zero value is connected.
+func TestConnectedSettledByBuild(t *testing.T) {
+	var zero Graph
+	if !zero.Connected() {
+		t.Fatal("zero-value Graph must be connected (N ≤ 1)")
+	}
+	for _, g := range []*Graph{
+		Build("two-islands", 4, [][2]int{{0, 1}, {2, 3}}),
+		Build("isolated", 3, [][2]int{{0, 1}}),
+		Build("edgeless", 2, nil),
+		Build("loop-only", 2, [][2]int{{1, 1}}),
+		Build("single", 1, nil),
+		Build("empty", 0, nil),
+		Path(6),
+	} {
+		if g.Connected() != connectedByBFS(g) {
+			t.Fatalf("%s: Connected()=%v, BFS says %v", g.Name(), g.Connected(), !g.Connected())
+		}
+	}
+}
+
+// decodeEdges reads a vertex count in [-1, 63] from the first byte and
+// an edge from each following pair of bytes. Endpoints fall in
+// [-1, n], so the out-of-range values either side turn up alongside
+// repeats, reversed pairs and self-loops.
+func decodeEdges(data []byte) (int, [][2]int) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	n := int(data[0])%65 - 1
+	span := n + 2
+	var edges [][2]int
+	for i := 1; i+1 < len(data); i += 2 {
+		edges = append(edges, [2]int{int(data[i])%span - 1, int(data[i+1])%span - 1})
+	}
+	return n, edges
+}
+
+// FuzzBuild requires Build ≡ buildReference on arbitrary edge lists,
+// panic messages included. Its seeds live in testdata/fuzz/FuzzBuild.
+func FuzzBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, edges := decodeEdges(data)
+		checkBuild(t, "fuzz", n, edges)
+	})
+}
 
 func TestBuildDedupAndLoops(t *testing.T) {
 	g := Build("t", 4, [][2]int{{0, 1}, {1, 0}, {2, 2}, {1, 2}, {1, 2}})
