@@ -17,9 +17,9 @@ race:
 	$(GO) test -race ./internal/core ./internal/dynamic ./internal/faults ./internal/obs ./internal/par ./internal/recovery ./internal/serve ./internal/sim ./internal/snapshot ./internal/stack ./internal/task ./internal/trace
 
 # Coverage-guided fuzz of the trace/speed-profile/topology parsers, the
-# JSONL event-sink reader and the graph builder against its reference
-# (mirrors the CI smoke job; go accepts one -fuzz target per
-# invocation).
+# JSONL event-sink reader, and the graph builder and the move-batch sort
+# against their references (mirrors the CI smoke job; go accepts one
+# -fuzz target per invocation).
 fuzz:
 	for target in FuzzReadTraceCSV FuzzReadTraceJSONL FuzzReadSpeedsCSV FuzzReadSpeedsJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/dynamic || exit 1; \
@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLog$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
 
 fmt:
 	gofmt -l .

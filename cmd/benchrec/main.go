@@ -1,5 +1,5 @@
 // Command benchrec records the perf trajectory of the hot paths: it
-// runs the micro-benchmarks — dynamic rounds, the delivery exchange,
+// runs the micro-benchmarks — dynamic and static rounds, the delivery exchange,
 // mass-failure churn, graph building — with -benchmem, parses the results
 // into a JSON report (committed as BENCH_dynamic.json), and compares
 // them against a committed baseline (BENCH_baseline.json: the
@@ -63,7 +63,7 @@ var benchLine = regexp.MustCompile(
 
 func main() {
 	var (
-		bench      = flag.String("bench", "BenchmarkDynamicRound|BenchmarkDeliver|BenchmarkMassChurn|BenchmarkRackLossRecover|BenchmarkCheckpoint|BenchmarkResume|BenchmarkLiveIngest|BenchmarkGraphBuild", "benchmark regex passed to go test -bench")
+		bench      = flag.String("bench", "BenchmarkDynamicRound|BenchmarkDeliver|BenchmarkMassChurn|BenchmarkRackLossRecover|BenchmarkCheckpoint|BenchmarkResume|BenchmarkLiveIngest|BenchmarkGraphBuild|BenchmarkResourceControlledRound|BenchmarkUserControlledRound|BenchmarkFullUserRun", "benchmark regex passed to go test -bench")
 		benchtime  = flag.String("benchtime", "1s", "go test -benchtime value")
 		pkg        = flag.String("pkg", ".", "package to benchmark")
 		out        = flag.String("out", "BENCH_dynamic.json", "JSON report to write (empty = don't write)")

@@ -663,6 +663,9 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 		}
 	}
 
+	if err := sc.Protocol.checkWalkable(sc.Graph); err != nil {
+		return dynamic.Config{}, err
+	}
 	mkKernel := func() walk.Kernel {
 		var k walk.Kernel = walk.NewMaxDegree(sc.Graph)
 		if sc.LazyWalk {

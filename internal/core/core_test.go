@@ -465,9 +465,10 @@ func TestMigrationSortDeterminism(t *testing.T) {
 	}
 }
 
-// TestMigrationSortLargeMergePath drives the ≥32-element bottom-up
-// merge against adversarial input shapes and checks every result
-// against the sort.Slice reference order.
+// TestMigrationSortLargeMergePath drives the radix path (batches of
+// radixCutoff moves and more) and the insertion sort just below it
+// against adversarial input shapes and checks every result against the
+// sort.Slice reference order.
 func TestMigrationSortLargeMergePath(t *testing.T) {
 	r := rng.NewSeeded(14)
 	mk := func(n int, dest func(i int) int32, id func(i int) int) []Migration {
@@ -477,9 +478,8 @@ func TestMigrationSortLargeMergePath(t *testing.T) {
 		}
 		return ms
 	}
-	// Boundary sizes around the insertion-sort/merge cutoff and around
-	// merge widths (powers of two ± 1) where the tail-copy logic is
-	// easiest to get wrong.
+	// Boundary sizes around the insertion-sort/radix cutoff, and
+	// powers of two ± 1.
 	for _, n := range []int{31, 32, 33, 63, 64, 65, 127, 128, 500, 1024, 1025} {
 		sorted := mk(n, func(i int) int32 { return int32(i / 4) }, func(i int) int { return i })
 		checkAgainstRef(t, fmt.Sprintf("n=%d already-sorted", n), sorted)

@@ -42,7 +42,7 @@ package core
 type exSource struct {
 	moves []Migration // borrowed from the caller, sorted by (dest, task ID)
 	cuts  []int       // len(bounds): moves[cuts[j]:cuts[j+1]] targets dest shard j
-	sort  []Migration // merge-sort scratch, grown on demand
+	sort  []Migration // radix-sort scratch, grown on demand
 }
 
 // exDest is one destination shard's inbound state for the current batch.

@@ -46,7 +46,7 @@ func (p ResourceControlled) Step(s *State) StepStats {
 // task from the source resource's own stream.
 func (p ResourceControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 	for r := lo; r < hi; r++ {
-		if !s.Overloaded(r) {
+		if !s.over[r] {
 			continue
 		}
 		sc.tasks = s.popOverflow(r, sc.tasks[:0])
@@ -81,7 +81,7 @@ func (p ResourceControlledSingle) Step(s *State) StepStats {
 // ProposeRange implements RangeProposer.
 func (p ResourceControlledSingle) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 	for r := lo; r < hi; r++ {
-		if !s.Overloaded(r) {
+		if !s.over[r] {
 			continue
 		}
 		sc.idx = append(sc.idx[:0], s.stacks[r].Len()-1)
@@ -92,18 +92,20 @@ func (p ResourceControlledSingle) ProposeRange(s *State, lo, hi int, sc *Propose
 }
 
 // stepPropose collects a full propose phase for a standalone Step call
-// — sequentially, or sharded across `workers` goroutines with private
-// scratches. The concatenation order of the shard buffers does not
-// matter: DeliverMigrations re-sorts into the canonical (dest, task
-// ID) order before any delivery or accounting.
+// — sequentially into the state's reusable scratch, or sharded across
+// `workers` goroutines with private scratches. The concatenation order
+// of the shard buffers does not matter: DeliverMigrations re-sorts into
+// the canonical (dest, task ID) order before any delivery or
+// accounting.
 func stepPropose(p RangeProposer, s *State, workers int) []Migration {
 	n := s.N()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		var sc ProposeScratch
-		p.ProposeRange(s, 0, n, &sc)
+		sc := &s.propose
+		sc.Moves = sc.Moves[:0]
+		p.ProposeRange(s, 0, n, sc)
 		return sc.Moves
 	}
 	scs := make([]ProposeScratch, workers)

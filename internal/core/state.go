@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -45,8 +46,10 @@ type State struct {
 	liveWMaxCount int
 	liveWMaxDirty bool
 
-	// Reusable scratch for DeliverMigrations' canonical sort.
+	// Reusable scratch for DeliverMigrations' canonical sort and for
+	// the propose phase of sequential Step calls.
 	sortScratch []Migration
+	propose     ProposeScratch
 
 	// In-flight ledger totals, maintained by the fault layer via
 	// MarkInFlight/ClearInFlight: live tasks currently held off every
@@ -425,43 +428,75 @@ func (s *State) DeliverMigrations(moves []Migration) StepStats {
 	return stats
 }
 
-// sortMigrations orders by (dest, task ID) — insertion sort for the
-// typically short per-round move lists, a bottom-up merge through the
-// caller's scratch (len(buf) ≥ len(moves)) for large k, avoiding the
-// insertion sort's O(k²) worst case on adversarial sizes.
+// radixCutoff is the batch length from which sortMigrations switches
+// from insertion sort to the radix sort. A steady open-system round
+// delivers ~13 moves, far below it; the paper's static runs deliver
+// batches of hundreds to thousands of moves, far above it.
+const radixCutoff = 64
+
+// sortMigrations orders moves by (dest, task ID), stably (equal keys
+// keep their input order): insertion sort in place below radixCutoff,
+// radixSortMigrations through the caller's scratch buf
+// (len(buf) ≥ len(moves)) from there on. Destinations and task IDs
+// must be non-negative.
 func sortMigrations(moves, buf []Migration) {
-	if len(moves) < 32 {
-		for i := 1; i < len(moves); i++ {
-			mv := moves[i]
-			j := i - 1
-			for j >= 0 && migrationLess(mv, moves[j]) {
-				moves[j+1] = moves[j]
-				j--
-			}
-			moves[j+1] = mv
-		}
+	if len(moves) >= radixCutoff {
+		radixSortMigrations(moves, buf)
 		return
 	}
-	for width := 1; width < len(moves); width *= 2 {
-		for lo := 0; lo < len(moves); lo += 2 * width {
-			mid := min(lo+width, len(moves))
-			hi := min(lo+2*width, len(moves))
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				if migrationLess(moves[j], moves[i]) {
-					buf[k] = moves[j]
-					j++
-				} else {
-					buf[k] = moves[i]
-					i++
-				}
-				k++
-			}
-			copy(buf[k:hi], moves[i:mid])
-			copy(buf[k+mid-i:hi], moves[j:hi])
+	for i := 1; i < len(moves); i++ {
+		mv := moves[i]
+		j := i - 1
+		for j >= 0 && migrationLess(mv, moves[j]) {
+			moves[j+1] = moves[j]
+			j--
 		}
-		copy(moves, buf[:len(moves)])
+		moves[j+1] = mv
 	}
+}
+
+// radixSortMigrations is a least-significant-digit radix sort on the
+// key dest<<idBits | taskID, packed over only the batch's significant
+// bits: one stable counting pass per 8-bit digit, alternating between
+// moves and buf, so it runs in O(k) per digit with no comparisons and
+// no allocation. It is a function of its own so that the short batches
+// of the open-system rounds do not pay for its 2 KiB digit histogram
+// in their stack frame.
+func radixSortMigrations(moves, buf []Migration) {
+	var maxDest int32
+	maxID := 0
+	for _, mv := range moves {
+		maxDest = max(maxDest, mv.Dest)
+		maxID = max(maxID, mv.Task.ID)
+	}
+	idBits := uint(bits.Len(uint(maxID)))
+	keyBits := idBits + uint(bits.Len32(uint32(maxDest)))
+	src, dst := moves, buf[:len(moves)]
+	for shift := uint(0); shift < keyBits; shift += 8 {
+		var next [256]int
+		for _, mv := range src {
+			next[migrationKey(mv, idBits)>>shift&0xff]++
+		}
+		at := 0
+		for d := range next {
+			next[d], at = at, at+next[d]
+		}
+		for _, mv := range src {
+			d := migrationKey(mv, idBits) >> shift & 0xff
+			dst[next[d]] = mv
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &moves[0] {
+		copy(moves, src)
+	}
+}
+
+// migrationKey packs a move's (dest, task ID) sort key with the ID in
+// the low idBits bits.
+func migrationKey(mv Migration, idBits uint) uint64 {
+	return uint64(mv.Dest)<<idBits | uint64(mv.Task.ID)
 }
 
 func migrationLess(a, b Migration) bool {

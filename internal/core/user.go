@@ -77,7 +77,7 @@ func (p UserControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 		return // nowhere to migrate on a single resource
 	}
 	for r := lo; r < hi; r++ {
-		if !s.Overloaded(r) {
+		if !s.over[r] {
 			continue
 		}
 		prob := p.leaveProbability(s, r)
@@ -85,12 +85,7 @@ func (p UserControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 			continue
 		}
 		rr := s.rands[r]
-		sc.idx = sc.idx[:0]
-		for i := 0; i < s.stacks[r].Len(); i++ {
-			if rr.Bool(prob) {
-				sc.idx = append(sc.idx, i)
-			}
-		}
+		sc.idx = rr.AppendTrials(sc.idx[:0], s.stacks[r].Len(), prob)
 		if len(sc.idx) == 0 {
 			continue
 		}
@@ -133,7 +128,7 @@ func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScrat
 	inner := UserControlled{Alpha: p.Alpha}
 	g := s.Graph()
 	for r := lo; r < hi; r++ {
-		if !s.Overloaded(r) {
+		if !s.over[r] {
 			continue
 		}
 		prob := inner.leaveProbability(s, r)
@@ -141,12 +136,7 @@ func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScrat
 			continue
 		}
 		rr := s.rands[r]
-		sc.idx = sc.idx[:0]
-		for i := 0; i < s.stacks[r].Len(); i++ {
-			if rr.Bool(prob) {
-				sc.idx = append(sc.idx, i)
-			}
-		}
+		sc.idx = rr.AppendTrials(sc.idx[:0], s.stacks[r].Len(), prob)
 		if len(sc.idx) == 0 {
 			continue
 		}

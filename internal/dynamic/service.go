@@ -87,12 +87,7 @@ func (g Geometric) Departures(st *stack.Stack, rem []float64, speed float64, r *
 	if speed != 1 {
 		p = 1 - powCompl(1-g.P, speed)
 	}
-	for i := 0; i < st.Len(); i++ {
-		if r.Bool(p) {
-			buf = append(buf, i)
-		}
-	}
-	return buf
+	return r.AppendTrials(buf, st.Len(), p)
 }
 
 // powCompl computes base^exp, the survival probability of exp

@@ -265,6 +265,29 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// AppendTrials runs n Bernoulli(p) trials and appends the indices of
+// the successes, in increasing order, to dst. It draws exactly what n
+// successive Bool(p) calls draw — nothing when p ≤ 0 or p ≥ 1, one
+// Float64 per trial otherwise (a NaN p draws and never succeeds) — so
+// a loop of Bool calls can be replaced without shifting the stream.
+func (r *Rand) AppendTrials(dst []int, n int, p float64) []int {
+	switch {
+	case p <= 0:
+		return dst
+	case p >= 1:
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
+		}
+		return dst
+	}
+	for i := 0; i < n; i++ {
+		if r.Float64() < p {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // Perm returns a uniformly random permutation of [0,n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

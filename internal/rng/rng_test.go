@@ -441,3 +441,59 @@ func TestPoissonMoments(t *testing.T) {
 	}()
 	r.Poisson(-1)
 }
+
+// boolLoopReference is the per-trial loop AppendTrials replaces.
+func boolLoopReference(r *Rand, n int, p float64) []int {
+	var out []int
+	for i := 0; i < n; i++ {
+		if r.Bool(p) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestAppendTrialsMatchesBoolLoop checks that AppendTrials returns the
+// indices of the Bool loop and leaves every generator family's stream
+// where the loop leaves it, for probabilities that draw nothing, that
+// draw and never succeed (NaN), and that draw with any outcome.
+func TestAppendTrialsMatchesBoolLoop(t *testing.T) {
+	sources := map[string]func() Source{
+		"xoshiro256": func() Source { return NewXoshiro256(31) },
+		"splitmix64": func() Source { return NewSplitMix64(31) },
+		"pcg32":      func() Source { return NewPCG32(31) },
+	}
+	for name, src := range sources {
+		for _, p := range []float64{-1, 0, 1e-300, 0.02, 0.5, 1, 2, math.NaN()} {
+			for _, n := range []int{0, 1, 7, 10000} {
+				ref, got := New(src()), New(src())
+				want := boolLoopReference(ref, n, p)
+				idx := got.AppendTrials(nil, n, p)
+				if len(idx) != len(want) {
+					t.Fatalf("%s p=%v n=%d: %d successes, Bool loop %d", name, p, n, len(idx), len(want))
+				}
+				for i := range want {
+					if idx[i] != want[i] {
+						t.Fatalf("%s p=%v n=%d: success %d at %d, Bool loop %d", name, p, n, i, idx[i], want[i])
+					}
+				}
+				if a, b := got.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("%s p=%v n=%d: next Uint64 %#x, after the Bool loop %#x", name, p, n, a, b)
+				}
+			}
+		}
+	}
+}
+
+func TestAppendTrialsKeepsPrefix(t *testing.T) {
+	got := NewSeeded(32).AppendTrials([]int{-7, -3}, 5, 1)
+	want := []int{-7, -3, 0, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v want %v", got, want)
+		}
+	}
+}

@@ -192,17 +192,17 @@ func (s *Stack) RemoveIndicesAppend(indices []int, dst []task.Task) []task.Task 
 		dst = append(dst, s.tasks[i])
 		s.load -= s.tasks[i].Weight
 	}
-	// Compact in one pass.
-	out := s.tasks[:0]
-	k := 0
-	for i, tk := range s.tasks {
-		if k < len(indices) && i == indices[k] {
-			k++
-			continue
+	// Compact in one pass: slide each run of kept tasks between two
+	// removed positions down over the gap opened so far.
+	w := indices[0]
+	for k, i := range indices {
+		end := len(s.tasks)
+		if k+1 < len(indices) {
+			end = indices[k+1]
 		}
-		out = append(out, tk)
+		w += copy(s.tasks[w:], s.tasks[i+1:end])
 	}
-	s.tasks = out
+	s.tasks = s.tasks[:w]
 	return dst
 }
 

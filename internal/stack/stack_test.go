@@ -1,6 +1,9 @@
 package stack
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -351,4 +354,107 @@ func TestPopAt(t *testing.T) {
 		}
 	}()
 	s.PopAt(5)
+}
+
+// removeIndicesAppendReference is RemoveIndicesAppend as it was before
+// the run-wise copy compaction: validation and removal first, then an
+// element-by-element compaction pass.
+func removeIndicesAppendReference(s *Stack, indices []int, dst []task.Task) []task.Task {
+	if len(indices) == 0 {
+		return dst
+	}
+	prev := -1
+	for _, i := range indices {
+		if i <= prev || i >= len(s.tasks) {
+			panic(fmt.Sprintf("stack: RemoveIndices bad index %d (prev %d, len %d)", i, prev, len(s.tasks)))
+		}
+		prev = i
+		dst = append(dst, s.tasks[i])
+		s.load -= s.tasks[i].Weight
+	}
+	// Compact in one pass.
+	out := s.tasks[:0]
+	k := 0
+	for i, tk := range s.tasks {
+		if k < len(indices) && i == indices[k] {
+			k++
+			continue
+		}
+		out = append(out, tk)
+	}
+	s.tasks = out
+	return dst
+}
+
+// removeBoth applies indices to two copies of s, one per
+// implementation, and returns both stacks, both results and both
+// panic values.
+func removeBoth(s *Stack, indices []int) (got, want *Stack, gotOut, wantOut []task.Task, gotPanic, wantPanic any) {
+	got, want = s.Clone(), s.Clone()
+	prefix := []task.Task{{ID: -1, Weight: 9}}
+	func() {
+		defer func() { gotPanic = recover() }()
+		gotOut = got.RemoveIndicesAppend(indices, append([]task.Task(nil), prefix...))
+	}()
+	func() {
+		defer func() { wantPanic = recover() }()
+		wantOut = removeIndicesAppendReference(want, indices, append([]task.Task(nil), prefix...))
+	}()
+	return
+}
+
+// TestRemoveIndicesAppendMatchesReference compares the run-wise copy
+// compaction with the element-by-element one on random strictly
+// increasing index sets — first, last, every and no position included
+// — and on bad index sets, whose panic messages must agree.
+func TestRemoveIndicesAppendMatchesReference(t *testing.T) {
+	r := rng.NewSeeded(44)
+	check := func(s *Stack, indices []int) {
+		t.Helper()
+		got, want, gotOut, wantOut, gotPanic, wantPanic := removeBoth(s, indices)
+		if fmt.Sprint(gotPanic) != fmt.Sprint(wantPanic) {
+			t.Fatalf("len %d indices %v: panic %v, reference %v", s.Len(), indices, gotPanic, wantPanic)
+		}
+		if gotPanic != nil {
+			return
+		}
+		if !slices.Equal(gotOut, wantOut) {
+			t.Fatalf("len %d indices %v: removed %v, reference %v", s.Len(), indices, gotOut, wantOut)
+		}
+		if !slices.Equal(got.Tasks(), want.Tasks()) || math.Float64bits(got.Load()) != math.Float64bits(want.Load()) {
+			t.Fatalf("len %d indices %v: left %v (load %v), reference %v (load %v)",
+				s.Len(), indices, got.Tasks(), got.Load(), want.Tasks(), want.Load())
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 8, 33, 200, 1000} {
+		s := &Stack{}
+		for i := 0; i < n; i++ {
+			s.Push(task.Task{ID: i, Weight: 1 + 5*r.Float64()})
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		check(s, nil)
+		check(s, all)
+		if n > 0 {
+			check(s, []int{0})
+			check(s, []int{n - 1})
+			check(s, []int{0, n - 1}[:min(2, n)])
+		}
+		for _, p := range []float64{0.05, 0.3, 0.7, 0.97} {
+			for trial := 0; trial < 20; trial++ {
+				check(s, r.AppendTrials(nil, n, p))
+			}
+		}
+		// Bad sets: past the end, negative, repeated, decreasing, and a
+		// bad entry after good ones.
+		check(s, []int{n})
+		check(s, []int{-1})
+		if n > 1 {
+			check(s, []int{0, 0})
+			check(s, []int{1, 0})
+			check(s, []int{0, 1, n})
+		}
+	}
 }

@@ -146,6 +146,16 @@ func (p ProtocolKind) String() string {
 	}
 }
 
+// checkWalkable rejects a graph without edges for the protocols whose
+// rounds move tasks along the max-degree random walk (ResourceBased and
+// MixedBased): the walk has no kernel there.
+func (p ProtocolKind) checkWalkable(g *Graph) error {
+	if (p == ResourceBased || p == MixedBased) && g.MaxDegree() == 0 {
+		return fmt.Errorf("thresholdlb: %v needs a graph with at least one edge for its random walk", p)
+	}
+	return nil
+}
+
 // Scenario describes one balancing problem. Zero values select the
 // paper's defaults where they exist.
 type Scenario struct {
@@ -228,11 +238,18 @@ func (sc Scenario) Run() (Result, error) {
 		return Result{}, errors.New("thresholdlb: Epsilon must be non-negative")
 	}
 
+	if err := sc.Protocol.checkWalkable(sc.Graph); err != nil {
+		return Result{}, err
+	}
+
 	var policy core.Thresholds
 	switch {
 	case sc.EstimatedThresholds:
 		if sc.Epsilon <= 0 {
 			return Result{}, errors.New("thresholdlb: EstimatedThresholds requires Epsilon > 0 to absorb estimation error")
+		}
+		if sc.Graph.MaxDegree() == 0 {
+			return Result{}, errors.New("thresholdlb: EstimatedThresholds needs a graph with at least one edge to diffuse over")
 		}
 		loads := make([]float64, n)
 		for id, r := range placement {

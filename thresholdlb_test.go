@@ -1,6 +1,7 @@
 package thresholdlb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -358,6 +359,78 @@ func TestDynamicScenarioValidation(t *testing.T) {
 		c.mutate(&sc)
 		if _, err := sc.Run(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("want error containing %q, got %v", c.want, err)
+		}
+	}
+}
+
+// TestSingleResourceGraph runs every protocol on K_1, which has no
+// edges: the protocols that walk (ResourceBased, MixedBased),
+// diffusion-estimated thresholds and the dynamic self-tuner return an
+// error naming the missing edge instead of panicking; the user
+// protocols balance in 0 rounds, and run in the open system under
+// oracle thresholds.
+func TestSingleResourceGraph(t *testing.T) {
+	const edgeErr = "a graph with at least one edge"
+	type kase struct {
+		name    string
+		run     func() error
+		wantErr string // "" = must succeed
+	}
+	var cases []kase
+	for _, p := range []ProtocolKind{ResourceBased, UserBased, UserBasedGraph, MixedBased} {
+		walkErr := ""
+		if p == ResourceBased || p == MixedBased {
+			walkErr = edgeErr
+		}
+		static := Scenario{Graph: CompleteGraph(1), Weights: UnitWeights(5), Epsilon: 0.2, Protocol: p, Seed: 1}
+		estimated := static
+		estimated.EstimatedThresholds = true
+		dynamicRun := func(oracle bool) func() error {
+			sc := DynamicScenario{
+				Graph:            CompleteGraph(1),
+				Protocol:         p,
+				Rounds:           50,
+				Arrivals:         PoissonArrivals(0.5, UnitDist()),
+				Service:          GeometricService(0.5),
+				OracleThresholds: oracle,
+				Seed:             1,
+			}
+			return func() error {
+				res, err := sc.Run()
+				if err == nil && res.Rounds != 50 {
+					return fmt.Errorf("ran %d rounds, want 50", res.Rounds)
+				}
+				return err
+			}
+		}
+		cases = append(cases,
+			kase{"static/" + p.String(), func() error {
+				res, err := static.Run()
+				if err == nil && (!res.Balanced || res.Rounds != 0 || res.Migrations != 0) {
+					return fmt.Errorf("result %+v, want balanced in 0 rounds with no moves", res)
+				}
+				return err
+			}, walkErr},
+			kase{"static-estimated/" + p.String(), func() error { _, err := estimated.Run(); return err }, edgeErr},
+			kase{"dynamic-oracle/" + p.String(), dynamicRun(true), walkErr},
+			kase{"dynamic-selftuned/" + p.String(), dynamicRun(false), edgeErr},
+		)
+	}
+	for _, c := range cases {
+		var err error
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("%s panicked: %v", c.name, v)
+				}
+			}()
+			err = c.run()
+		}()
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
 		}
 	}
 }
