@@ -16,12 +16,16 @@ test:
 race:
 	$(GO) test -race ./internal/core ./internal/dynamic ./internal/faults ./internal/obs ./internal/par ./internal/recovery ./internal/serve ./internal/sim ./internal/snapshot ./internal/stack ./internal/task ./internal/trace
 
-# Coverage-guided fuzz of the trace/speed-profile/topology parsers, the
-# JSONL event-sink reader, and the graph builder and the move-batch sort
-# against their references (mirrors the CI smoke job; go accepts one
-# -fuzz target per invocation).
+# Coverage-guided fuzz of the shared line reader against the loops it
+# replaced, the trace/speed-profile/churn-event/topology/fault-plan
+# parsers, the JSONL event-sink reader, and the graph builder and the
+# move-batch sort against their references (mirrors the CI smoke job;
+# go accepts one -fuzz target per invocation).
 fuzz:
-	for target in FuzzReadTraceCSV FuzzReadTraceJSONL FuzzReadSpeedsCSV FuzzReadSpeedsJSONL; do \
+	for target in FuzzJSONL FuzzCSV; do \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/lineio || exit 1; \
+	done
+	for target in FuzzReadTraceCSV FuzzReadTraceJSONL FuzzReadSpeedsCSV FuzzReadSpeedsJSONL FuzzReadEventsCSV FuzzReadEventsJSONL; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/dynamic || exit 1; \
 	done
 	for target in FuzzReadTopologyCSV FuzzReadTopologyJSONL; do \

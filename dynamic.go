@@ -138,7 +138,7 @@ type QuarantineSpec = dynamic.Quarantine
 // directive object per line. The full plan validation runs at load time
 // with line-numbered errors.
 func LoadFaultPlan(path string, n int) (*FaultPlan, error) {
-	return faults.LoadPlanFile(path, n)
+	return faults.LoadPlanFile(path, n, nil)
 }
 
 // PartitionRack builds the partition window that cuts one topology rack
@@ -159,7 +159,7 @@ func PartitionZone(topo *Topology, zone, start, end int) FaultPartition {
 // "partition,100,200,rack3" or mix names with index ranges
 // ("0-15;zone1").
 func LoadFaultPlanTopo(path string, n int, topo *Topology) (*FaultPlan, error) {
-	return faults.LoadPlanFileNamed(path, n, topo.Resolve)
+	return faults.LoadPlanFile(path, n, topo.Resolve)
 }
 
 // UniformRehome re-homes each evacuated task to a uniformly random up

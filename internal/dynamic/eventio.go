@@ -1,25 +1,21 @@
 package dynamic
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
+
+	"repro/internal/lineio"
 )
 
 // Churn-event ingestion: scripted failure schedules — hand-written or
 // exported from a compiled recovery.FailureModel — load from files in
 // the engine's usual two line formats:
 //
-//	CSV:   round,every,down,up      (optional header, '#' comments;
-//	                                 random-count bursts only)
+//	CSV:   round,every,down,up      (optional header; random-count
+//	                                 bursts only)
 //	JSONL: {"round":40,"down_list":[0,1,2]}   one event per line, with
 //	       optional "every", "down", "up", "down_list", "up_list" keys
 //
@@ -32,43 +28,28 @@ import (
 
 // ReadEventsCSV parses round,every,down,up records from r.
 func ReadEventsCSV(r io.Reader, n int) ([]ChurnEvent, error) {
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = 4
-	cr.TrimLeadingSpace = true
 	var events []ChurnEvent
 	var lines []int
-	first := true
-	for {
-		fields, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: events csv: %w", err)
-		}
-		if first {
-			first = false
-			if strings.EqualFold(strings.TrimSpace(fields[0]), "round") {
-				continue // header row
-			}
-		}
-		line, _ := cr.FieldPos(0)
+	err := lineio.CSV(r, 4, "round", func(line int, f []string) error {
 		var ev ChurnEvent
 		for i, dst := range []*int{&ev.Round, &ev.Every, &ev.Down, &ev.Up} {
-			v, err := strconv.Atoi(strings.TrimSpace(fields[i]))
+			v, err := strconv.Atoi(f[i])
 			if err != nil {
-				return nil, fmt.Errorf("dynamic: events csv line %d: bad field %q", line, fields[i])
+				return fmt.Errorf("bad field %q", f[i])
 			}
 			*dst = v
 		}
 		if ev.Down == 0 && ev.Up == 0 {
-			return nil, fmt.Errorf("dynamic: events csv line %d: event fires nothing (no down/up counts)", line)
+			return fmt.Errorf("event fires nothing (no down/up counts)")
 		}
 		events = append(events, ev)
 		lines = append(lines, line)
+		return nil
+	})
+	if err == nil {
+		err = validateLoadedEvents(events, lines, n)
 	}
-	if err := validateLoadedEvents(events, lines, n); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("dynamic: events csv %w", err)
 	}
 	return events, nil
@@ -87,42 +68,26 @@ type eventRecord struct {
 
 // ReadEventsJSONL parses one churn-event object per line.
 func ReadEventsJSONL(r io.Reader, n int) ([]ChurnEvent, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var events []ChurnEvent
 	var lines []int
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var rec eventRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("dynamic: events jsonl line %d: %w", line, err)
-		}
-		if err := OneValuePerLine(dec); err != nil {
-			return nil, fmt.Errorf("dynamic: events jsonl line %d: %w", line, err)
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(line int, rec *eventRecord) error {
 		if rec.Round == nil {
-			return nil, fmt.Errorf("dynamic: events jsonl line %d: record must carry \"round\"", line)
+			return fmt.Errorf("record must carry \"round\"")
 		}
 		if rec.Down == 0 && rec.Up == 0 && len(rec.DownList) == 0 && len(rec.UpList) == 0 {
-			return nil, fmt.Errorf("dynamic: events jsonl line %d: event fires nothing (no down/up counts or lists)", line)
+			return fmt.Errorf("event fires nothing (no down/up counts or lists)")
 		}
 		events = append(events, ChurnEvent{
 			Round: *rec.Round, Every: rec.Every, Down: rec.Down, Up: rec.Up,
 			DownList: rec.DownList, UpList: rec.UpList,
 		})
 		lines = append(lines, line)
+		return nil
+	})
+	if err == nil {
+		err = validateLoadedEvents(events, lines, n)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dynamic: events jsonl: %w", err)
-	}
-	if err := validateLoadedEvents(events, lines, n); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("dynamic: events jsonl %w", err)
 	}
 	return events, nil
@@ -160,17 +125,7 @@ func validateLoadedEvents(events []ChurnEvent, lines []int, n int) error {
 // from path, picking the format by extension: .csv → CSV,
 // .jsonl/.ndjson/.json → JSONL.
 func LoadEventsFile(path string, n int) ([]ChurnEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: events: %w", err)
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadEventsCSV(f, n)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadEventsJSONL(f, n)
-	default:
-		return nil, fmt.Errorf("dynamic: events %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
+	return lineio.Load("dynamic: events", path,
+		func(r io.Reader) ([]ChurnEvent, error) { return ReadEventsCSV(r, n) },
+		func(r io.Reader) ([]ChurnEvent, error) { return ReadEventsJSONL(r, n) })
 }

@@ -1,23 +1,18 @@
 package dynamic
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
+
+	"repro/internal/lineio"
 )
 
 // Speed-profile ingestion: heterogeneous fleets are described by
 // (resource, speed) records, mirroring the arrival-trace formats —
 //
-//	CSV:   resource,speed      (optional "resource,speed" header,
-//	                            '#' comment lines allowed)
+//	CSV:   resource,speed      (optional "resource,speed" header)
 //	JSONL: {"resource":3,"speed":2.5}   one object per line
 //
 // The loader densifies the records into a length-n speed vector;
@@ -67,38 +62,20 @@ func ReadSpeedsCSV(r io.Reader, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dynamic: speeds csv: need a positive resource count, got %d", n)
 	}
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = 2
-	cr.TrimLeadingSpace = true
 	sv := newSpeedVec(n)
-	first := true
-	for {
-		fields, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
+	err := lineio.CSV(r, 2, "resource", func(_ int, f []string) error {
+		resource, err := strconv.Atoi(f[0])
 		if err != nil {
-			return nil, fmt.Errorf("dynamic: speeds csv: %w", err)
+			return fmt.Errorf("bad resource %q", f[0])
 		}
-		if first {
-			first = false
-			if strings.EqualFold(strings.TrimSpace(fields[0]), "resource") {
-				continue // header row
-			}
-		}
-		line, _ := cr.FieldPos(0)
-		resource, err := strconv.Atoi(strings.TrimSpace(fields[0]))
+		speed, err := strconv.ParseFloat(f[1], 64)
 		if err != nil {
-			return nil, fmt.Errorf("dynamic: speeds csv line %d: bad resource %q", line, fields[0])
+			return fmt.Errorf("bad speed %q", f[1])
 		}
-		speed, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: speeds csv line %d: bad speed %q", line, fields[1])
-		}
-		if err := sv.set(resource, speed); err != nil {
-			return nil, fmt.Errorf("dynamic: speeds csv line %d: %w", line, err)
-		}
+		return sv.set(resource, speed)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dynamic: speeds csv %w", err)
 	}
 	return sv.v, nil
 }
@@ -117,68 +94,23 @@ func ReadSpeedsJSONL(r io.Reader, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dynamic: speeds jsonl: need a positive resource count, got %d", n)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	sv := newSpeedVec(n)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var rec speedRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: %w", line, err)
-		}
-		if err := OneValuePerLine(dec); err != nil {
-			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: %w", line, err)
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(_ int, rec *speedRecord) error {
 		if rec.Resource == nil || rec.Speed == nil {
-			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: record must carry both \"resource\" and \"speed\"", line)
+			return fmt.Errorf("record must carry both \"resource\" and \"speed\"")
 		}
-		if err := sv.set(*rec.Resource, *rec.Speed); err != nil {
-			return nil, fmt.Errorf("dynamic: speeds jsonl line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dynamic: speeds jsonl: %w", err)
+		return sv.set(*rec.Resource, *rec.Speed)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dynamic: speeds jsonl %w", err)
 	}
 	return sv.v, nil
-}
-
-// OneValuePerLine errors when a decoded JSONL line carries trailing
-// data after its first value (e.g. two concatenated objects): silently
-// dropping the remainder would load a truncated file. Shared by every
-// JSONL loader in this package and in internal/recovery.
-func OneValuePerLine(dec *json.Decoder) error {
-	tok, err := dec.Token()
-	switch {
-	case err == io.EOF:
-		return nil
-	case err != nil:
-		return fmt.Errorf("trailing data after the record: %w", err)
-	default:
-		return fmt.Errorf("trailing data %v after the record", tok)
-	}
 }
 
 // LoadSpeedsFile reads an n-resource speed profile from path, picking
 // the format by extension: .csv → CSV, .jsonl/.ndjson/.json → JSONL.
 func LoadSpeedsFile(path string, n int) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dynamic: speeds: %w", err)
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadSpeedsCSV(f, n)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadSpeedsJSONL(f, n)
-	default:
-		return nil, fmt.Errorf("dynamic: speeds %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
+	return lineio.Load("dynamic: speeds", path,
+		func(r io.Reader) ([]float64, error) { return ReadSpeedsCSV(r, n) },
+		func(r io.Reader) ([]float64, error) { return ReadSpeedsJSONL(r, n) })
 }

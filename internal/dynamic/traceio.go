@@ -1,24 +1,19 @@
 package dynamic
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
+	"repro/internal/lineio"
 	"repro/internal/task"
 )
 
 // Trace ingestion: production arrival logs replay through the engine
 // as (round, weight) records. Two line formats are supported —
 //
-//	CSV:   round,weight        (optional "round,weight" header,
-//	                            '#' comment lines allowed)
+//	CSV:   round,weight        (optional "round,weight" header)
 //	JSONL: {"round":12,"weight":2.5}   one object per line
 //
 // Records may arrive in any round order; the loader buckets them into
@@ -34,79 +29,51 @@ type traceRecord struct {
 
 // ReadTraceCSV parses round,weight records from r into a Trace.
 func ReadTraceCSV(r io.Reader, label string) (Trace, error) {
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = 2
-	cr.TrimLeadingSpace = true
 	var recs []traceRecord
-	first := true
-	for {
-		fields, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
+	err := lineio.CSV(r, 2, "round", func(_ int, f []string) error {
+		round, err := strconv.Atoi(f[0])
 		if err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace csv: %w", err)
+			return fmt.Errorf("bad round %q", f[0])
 		}
-		if first {
-			first = false
-			if strings.EqualFold(strings.TrimSpace(fields[0]), "round") {
-				continue // header row
-			}
-		}
-		line, _ := cr.FieldPos(0)
-		round, err := strconv.Atoi(strings.TrimSpace(fields[0]))
+		weight, err := strconv.ParseFloat(f[1], 64)
 		if err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace csv line %d: bad round %q", line, fields[0])
-		}
-		weight, err := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
-		if err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace csv line %d: bad weight %q", line, fields[1])
+			return fmt.Errorf("bad weight %q", f[1])
 		}
 		if err := checkTraceRecord(round, weight); err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace csv line %d: %w", line, err)
+			return err
 		}
 		recs = append(recs, traceRecord{Round: round, Weight: weight})
+		return nil
+	})
+	if err != nil {
+		return Trace{}, fmt.Errorf("dynamic: trace csv %w", err)
 	}
 	return bucketTrace(recs, label), nil
 }
 
+// traceLine is one JSONL trace record. The fields are pointers so a
+// record that omits a key fails loudly instead of silently landing in
+// round 0 with the zero value.
+type traceLine struct {
+	Round  *int     `json:"round"`
+	Weight *float64 `json:"weight"`
+}
+
 // ReadTraceJSONL parses one {"round":r,"weight":w} object per line.
 func ReadTraceJSONL(r io.Reader, label string) (Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var recs []traceRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		// Pointer fields so a record that omits a key fails loudly
-		// instead of silently landing in round 0.
-		var rec struct {
-			Round  *int     `json:"round"`
-			Weight *float64 `json:"weight"`
-		}
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: %w", line, err)
-		}
-		if err := OneValuePerLine(dec); err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: %w", line, err)
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(_ int, rec *traceLine) error {
 		if rec.Round == nil || rec.Weight == nil {
-			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: record must carry both \"round\" and \"weight\"", line)
+			return fmt.Errorf("record must carry both \"round\" and \"weight\"")
 		}
 		if err := checkTraceRecord(*rec.Round, *rec.Weight); err != nil {
-			return Trace{}, fmt.Errorf("dynamic: trace jsonl line %d: %w", line, err)
+			return err
 		}
 		recs = append(recs, traceRecord{Round: *rec.Round, Weight: *rec.Weight})
-	}
-	if err := sc.Err(); err != nil {
-		return Trace{}, fmt.Errorf("dynamic: trace jsonl: %w", err)
+		return nil
+	})
+	if err != nil {
+		return Trace{}, fmt.Errorf("dynamic: trace jsonl %w", err)
 	}
 	return bucketTrace(recs, label), nil
 }
@@ -115,20 +82,10 @@ func ReadTraceJSONL(r io.Reader, label string) (Trace, error) {
 // extension: .csv → CSV, .jsonl/.ndjson/.json → JSONL. The trace label
 // defaults to the file's base name.
 func LoadTraceFile(path string) (Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Trace{}, fmt.Errorf("dynamic: trace: %w", err)
-	}
-	defer f.Close()
 	label := filepath.Base(path)
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadTraceCSV(f, label)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadTraceJSONL(f, label)
-	default:
-		return Trace{}, fmt.Errorf("dynamic: trace %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
+	return lineio.Load("dynamic: trace", path,
+		func(r io.Reader) (Trace, error) { return ReadTraceCSV(r, label) },
+		func(r io.Reader) (Trace, error) { return ReadTraceJSONL(r, label) })
 }
 
 func checkTraceRecord(round int, weight float64) error {

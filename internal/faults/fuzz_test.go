@@ -49,7 +49,7 @@ func FuzzReadPlanCSV(f *testing.F) {
 		if n < 2 || n > 1<<12 {
 			n = 16 // partitions validate against the fleet; keep it small
 		}
-		p, err := ReadPlanCSV(bytes.NewReader(data), n)
+		p, err := ReadPlanCSV(bytes.NewReader(data), n, nil)
 		if err != nil {
 			return
 		}
@@ -75,7 +75,7 @@ func FuzzReadPlanJSONL(f *testing.F) {
 		if n < 2 || n > 1<<12 {
 			n = 16
 		}
-		p, err := ReadPlanJSONL(bytes.NewReader(data), n)
+		p, err := ReadPlanJSONL(bytes.NewReader(data), n, nil)
 		if err != nil {
 			return
 		}

@@ -1,21 +1,18 @@
 package faults
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/lineio"
 )
 
 // Fault-plan ingestion: unreliable-network scenarios — hand-written or
 // generated — load from files in the engine's usual two line formats:
 //
-//	CSV:   kind,a,b,c          (optional "kind,..." header, '#' comments)
+//	CSV:   kind,a,b,c          (optional "kind,..." header)
 //	         loss,P
 //	         delay,P,MAX
 //	         dup,P
@@ -42,113 +39,65 @@ import (
 // recovery.(*Topology).Resolve satisfies it.
 type MemberResolver func(name string) ([]int, bool)
 
-// ReadPlanCSV parses kind,a,b,c fault directives from r for an
-// n-resource fleet.
-func ReadPlanCSV(r io.Reader, n int) (*Plan, error) {
-	return ReadPlanCSVNamed(r, n, nil)
-}
+// planArity is the field count after the kind of each CSV directive.
+var planArity = map[string]int{"loss": 1, "delay": 2, "dup": 1, "retry": 3, "seed": 1, "partition": 3}
 
-// ReadPlanCSVNamed is ReadPlanCSV with a failure-domain name resolver:
-// partition member lists may mix index ranges with rack/zone names
-// ("0-99;rack3;zone1"). A nil resolver accepts indices only.
-func ReadPlanCSVNamed(r io.Reader, n int, resolve MemberResolver) (*Plan, error) {
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = -1 // row arity depends on the directive kind
-	cr.TrimLeadingSpace = true
+// ReadPlanCSV parses kind,a,b,c fault directives from r for an
+// n-resource fleet. A non-nil resolve lets partition member lists mix
+// index ranges with rack/zone names ("0-99;rack3;zone1"); nil accepts
+// indices only.
+func ReadPlanCSV(r io.Reader, n int, resolve MemberResolver) (*Plan, error) {
 	p := &Plan{}
 	var partLines []int
-	first := true
-	for {
-		fields, err := cr.Read()
-		if err == io.EOF {
-			break
+	err := lineio.CSV(r, -1, "kind", func(line int, f []string) error {
+		kind, args := strings.ToLower(f[0]), f[1:]
+		want, ok := planArity[kind]
+		if !ok {
+			return fmt.Errorf("unknown directive %q (want loss, delay, dup, retry, seed or partition)", kind)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("faults: plan csv: %w", err)
+		if len(args) != want {
+			return fmt.Errorf("%q takes %d fields, got %d", kind, want, len(args))
 		}
-		if first {
-			first = false
-			if strings.EqualFold(strings.TrimSpace(fields[0]), "kind") {
-				continue // header row
-			}
-		}
-		line, _ := cr.FieldPos(0)
-		kind := strings.ToLower(strings.TrimSpace(fields[0]))
-		args := fields[1:]
-		bad := func(format string, a ...any) error {
-			return fmt.Errorf("faults: plan csv line %d: %s", line, fmt.Sprintf(format, a...))
-		}
-		arity := func(want int) error {
-			if len(args) != want {
-				return bad("%q takes %d fields, got %d", kind, want, len(args))
-			}
-			return nil
-		}
+		var err error
 		switch kind {
 		case "loss":
-			if err := arity(1); err != nil {
-				return nil, err
-			}
-			if p.Loss, err = parseProb(args[0]); err != nil {
-				return nil, bad("%v", err)
-			}
-		case "delay":
-			if err := arity(2); err != nil {
-				return nil, err
-			}
-			if p.DelayProb, err = parseProb(args[0]); err != nil {
-				return nil, bad("%v", err)
-			}
-			if p.DelayMax, err = parseCount(args[1]); err != nil {
-				return nil, bad("%v", err)
-			}
+			p.Loss, err = parseProb(args[0])
 		case "dup":
-			if err := arity(1); err != nil {
-				return nil, err
-			}
-			if p.DupProb, err = parseProb(args[0]); err != nil {
-				return nil, bad("%v", err)
+			p.DupProb, err = parseProb(args[0])
+		case "delay":
+			if p.DelayProb, err = parseProb(args[0]); err == nil {
+				p.DelayMax, err = parseCount(args[1])
 			}
 		case "retry":
-			if err := arity(3); err != nil {
-				return nil, err
-			}
 			for i, dst := range []*int{&p.RetryBase, &p.RetryCap, &p.Timeout} {
 				if *dst, err = parseCount(args[i]); err != nil {
-					return nil, bad("%v", err)
+					return err
 				}
 			}
 		case "seed":
-			if err := arity(1); err != nil {
-				return nil, err
+			if p.Seed, err = strconv.ParseUint(args[0], 10, 64); err != nil {
+				return fmt.Errorf("bad seed %q", args[0])
 			}
-			s, err := strconv.ParseUint(strings.TrimSpace(args[0]), 10, 64)
-			if err != nil {
-				return nil, bad("bad seed %q", args[0])
-			}
-			p.Seed = s
 		case "partition":
-			if err := arity(3); err != nil {
-				return nil, err
-			}
 			var w Partition
 			if w.Start, err = parseCount(args[0]); err != nil {
-				return nil, bad("%v", err)
+				return err
 			}
 			if w.End, err = parseCount(args[1]); err != nil {
-				return nil, bad("%v", err)
+				return err
 			}
 			if w.Members, err = parseMembersWith(args[2], resolve); err != nil {
-				return nil, bad("%v", err)
+				return err
 			}
 			p.Partitions = append(p.Partitions, w)
 			partLines = append(partLines, line)
-		default:
-			return nil, bad("unknown directive %q (want loss, delay, dup, retry, seed or partition)", kind)
 		}
+		return err
+	})
+	if err == nil {
+		err = validateLoadedPlan(p, partLines, n)
 	}
-	if err := validateLoadedPlan(p, partLines, n); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("faults: plan csv %w", err)
 	}
 	return p, nil
@@ -180,97 +129,57 @@ type partitionRecord struct {
 }
 
 // ReadPlanJSONL parses one fault-directive object per line for an
-// n-resource fleet.
-func ReadPlanJSONL(r io.Reader, n int) (*Plan, error) {
-	return ReadPlanJSONLNamed(r, n, nil)
-}
-
-// ReadPlanJSONLNamed is ReadPlanJSONL with a failure-domain name
-// resolver: a partition's "ranges" string may mix index ranges with
-// rack/zone names. A nil resolver accepts indices only.
-func ReadPlanJSONLNamed(r io.Reader, n int, resolve MemberResolver) (*Plan, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+// n-resource fleet. A non-nil resolve lets a partition's "ranges"
+// string mix index ranges with rack/zone names; nil accepts indices
+// only.
+func ReadPlanJSONL(r io.Reader, n int, resolve MemberResolver) (*Plan, error) {
 	p := &Plan{}
 	var partLines []int
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var rec planRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("faults: plan jsonl line %d: %w", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("faults: plan jsonl line %d: trailing data after the directive object", line)
-		}
-		set := 0
-		if rec.Loss != nil {
-			p.Loss = *rec.Loss
-			set++
-		}
-		if rec.DelayProb != nil {
-			p.DelayProb = *rec.DelayProb
-			set++
-		}
-		if rec.DelayMax != nil {
-			p.DelayMax = *rec.DelayMax
-			set++
-		}
-		if rec.Dup != nil {
-			p.DupProb = *rec.Dup
-			set++
-		}
-		if rec.RetryBase != nil {
-			p.RetryBase = *rec.RetryBase
-			set++
-		}
-		if rec.RetryCap != nil {
-			p.RetryCap = *rec.RetryCap
-			set++
-		}
-		if rec.Timeout != nil {
-			p.Timeout = *rec.Timeout
-			set++
-		}
-		if rec.Seed != nil {
-			p.Seed = *rec.Seed
-			set++
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(line int, rec *planRecord) error {
+		set := take(&p.Loss, rec.Loss) + take(&p.DelayProb, rec.DelayProb) +
+			take(&p.DelayMax, rec.DelayMax) + take(&p.DupProb, rec.Dup) +
+			take(&p.RetryBase, rec.RetryBase) + take(&p.RetryCap, rec.RetryCap) +
+			take(&p.Timeout, rec.Timeout) + take(&p.Seed, rec.Seed)
 		if pr := rec.Partition; pr != nil {
 			set++
 			if pr.Start == nil || pr.End == nil {
-				return nil, fmt.Errorf("faults: plan jsonl line %d: partition must carry \"start\" and \"end\"", line)
+				return fmt.Errorf("partition must carry \"start\" and \"end\"")
 			}
 			if len(pr.Members) > 0 && pr.Ranges != "" {
-				return nil, fmt.Errorf("faults: plan jsonl line %d: partition carries both \"members\" and \"ranges\"", line)
+				return fmt.Errorf("partition carries both \"members\" and \"ranges\"")
 			}
 			members := pr.Members
 			if pr.Ranges != "" {
 				var err error
 				if members, err = parseMembersWith(pr.Ranges, resolve); err != nil {
-					return nil, fmt.Errorf("faults: plan jsonl line %d: %v", line, err)
+					return err
 				}
 			}
 			p.Partitions = append(p.Partitions, Partition{Start: *pr.Start, End: *pr.End, Members: members})
 			partLines = append(partLines, line)
 		}
 		if set == 0 {
-			return nil, fmt.Errorf("faults: plan jsonl line %d: directive sets nothing", line)
+			return fmt.Errorf("directive sets nothing")
 		}
+		return nil
+	})
+	if err == nil {
+		err = validateLoadedPlan(p, partLines, n)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("faults: plan jsonl: %w", err)
-	}
-	if err := validateLoadedPlan(p, partLines, n); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("faults: plan jsonl %w", err)
 	}
 	return p, nil
+}
+
+// take copies a directive field the record carries into the plan and
+// counts it.
+func take[V any](dst, src *V) int {
+	if src == nil {
+		return 0
+	}
+	*dst = *src
+	return 1
 }
 
 // validateLoadedPlan runs the full plan check and translates partition
@@ -291,39 +200,11 @@ func validateLoadedPlan(p *Plan, partLines []int, n int) error {
 
 // LoadPlanFile reads a fault plan for an n-resource fleet from path,
 // picking the format by extension: .csv → CSV, .jsonl/.ndjson/.json →
-// JSONL.
-func LoadPlanFile(path string, n int) (*Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("faults: plan: %w", err)
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadPlanCSV(f, n)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadPlanJSONL(f, n)
-	default:
-		return nil, fmt.Errorf("faults: plan %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
-}
-
-// LoadPlanFileNamed is LoadPlanFile with a failure-domain name
-// resolver for the partition member lists.
-func LoadPlanFileNamed(path string, n int, resolve MemberResolver) (*Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("faults: plan: %w", err)
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadPlanCSVNamed(f, n, resolve)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadPlanJSONLNamed(f, n, resolve)
-	default:
-		return nil, fmt.Errorf("faults: plan %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
+// JSONL. resolve is passed to the reader (nil accepts indices only).
+func LoadPlanFile(path string, n int, resolve MemberResolver) (*Plan, error) {
+	return lineio.Load("faults: plan", path,
+		func(r io.Reader) (*Plan, error) { return ReadPlanCSV(r, n, resolve) },
+		func(r io.Reader) (*Plan, error) { return ReadPlanJSONL(r, n, resolve) })
 }
 
 // ParseMembers parses the loader's member-range syntax — semicolon- or

@@ -19,7 +19,7 @@ seed,42
 partition,100,200,0-3
 partition,300,400,8;10;12-14
 `
-	p, err := ReadPlanCSV(strings.NewReader(src), 16)
+	p, err := ReadPlanCSV(strings.NewReader(src), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestReadPlanJSONL(t *testing.T) {
 {"partition": {"start": 100, "end": 200, "members": [0, 1, 2, 3]}}
 {"partition": {"start": 300, "end": 400, "ranges": "8;10;12-14"}}
 `
-	p, err := ReadPlanJSONL(strings.NewReader(src), 16)
+	p, err := ReadPlanJSONL(strings.NewReader(src), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csv, err := ReadPlanCSV(strings.NewReader(
-		"loss,0.02\ndelay,0.05,4\ndup,0.001\nretry,1,8,30\nseed,42\npartition,100,200,0-3\npartition,300,400,8;10;12-14\n"), 16)
+		"loss,0.02\ndelay,0.05,4\ndup,0.001\nretry,1,8,30\nseed,42\npartition,100,200,0-3\npartition,300,400,8;10;12-14\n"), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +77,8 @@ func TestPlanLoaderLineNumbers(t *testing.T) {
 		{"jsonl unknown field", "{\"loss\":0.1}\n{\"chaos\":1}\n", "line 2", true},
 		{"jsonl empty directive", "{\"loss\":0.1}\n{}\n", "line 2", true},
 		{"jsonl trailing data", "{\"loss\":0.1} 7\n", "line 1", true},
+		{"jsonl trailing brace", "{\"loss\":0.1}}\n", "line 1: trailing data", true},
+		{"jsonl trailing bracket", "{\"loss\":0.1}]\n", "line 1: trailing data", true},
 		{"jsonl partition missing bounds", "{\"partition\":{\"members\":[1]}}\n", "line 1", true},
 		{"jsonl partition members and ranges", "{\"partition\":{\"start\":0,\"end\":9,\"members\":[1],\"ranges\":\"2\"}}\n", "line 1", true},
 		{"jsonl isolating partition maps to its line", "{\"loss\":0.1}\n{\"partition\":{\"start\":0,\"end\":9,\"ranges\":\"0-15\"}}\n", "line 2", true},
@@ -85,9 +87,9 @@ func TestPlanLoaderLineNumbers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error
 			if tc.jsonl {
-				_, err = ReadPlanJSONL(strings.NewReader(tc.src), 16)
+				_, err = ReadPlanJSONL(strings.NewReader(tc.src), 16, nil)
 			} else {
-				_, err = ReadPlanCSV(strings.NewReader(tc.src), 16)
+				_, err = ReadPlanCSV(strings.NewReader(tc.src), 16, nil)
 			}
 			if err == nil {
 				t.Fatalf("accepted malformed plan %q", tc.src)
@@ -105,7 +107,7 @@ func TestLoadPlanFile(t *testing.T) {
 	if err := os.WriteFile(csvPath, []byte("loss,0.1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := LoadPlanFile(csvPath, 8)
+	p, err := LoadPlanFile(csvPath, 8, nil)
 	if err != nil || p.Loss != 0.1 {
 		t.Fatalf("csv load: plan %+v err %v", p, err)
 	}
@@ -113,13 +115,13 @@ func TestLoadPlanFile(t *testing.T) {
 	if err := os.WriteFile(jPath, []byte(`{"dup": 0.25}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if p, err = LoadPlanFile(jPath, 8); err != nil || p.DupProb != 0.25 {
+	if p, err = LoadPlanFile(jPath, 8, nil); err != nil || p.DupProb != 0.25 {
 		t.Fatalf("jsonl load: plan %+v err %v", p, err)
 	}
-	if _, err = LoadPlanFile(filepath.Join(dir, "plan.yaml"), 8); err == nil {
+	if _, err = LoadPlanFile(filepath.Join(dir, "plan.yaml"), 8, nil); err == nil {
 		t.Fatal("accepted unknown extension")
 	}
-	if _, err = LoadPlanFile(filepath.Join(dir, "absent.csv"), 8); err == nil {
+	if _, err = LoadPlanFile(filepath.Join(dir, "absent.csv"), 8, nil); err == nil {
 		t.Fatal("accepted missing file")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteDOT renders the graph in Graphviz DOT format for visual
@@ -27,8 +26,8 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 }
 
 // WriteEdgeList writes the graph as a plain text header line
-// "n <vertices>" followed by one "u v" pair per undirected edge —
-// the interchange format ReadEdgeList parses.
+// "n <vertices>" followed by one "u v" pair per undirected edge, for
+// external tools (lbgraph -edgelist).
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "n %d\n", g.N())
@@ -40,46 +39,4 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
-// starting with '#' are ignored.
-func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	n := -1
-	var edges [][2]int
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if n < 0 {
-			var parsed int
-			if _, err := fmt.Sscanf(line, "n %d", &parsed); err != nil {
-				return nil, fmt.Errorf("graph: line %d: expected header \"n <count>\", got %q", lineNo, line)
-			}
-			if parsed < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative vertex count", lineNo)
-			}
-			n = parsed
-			continue
-		}
-		var u, v int
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
-			return nil, fmt.Errorf("graph: line %d: expected \"u v\", got %q", lineNo, line)
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, u, v, n)
-		}
-		edges = append(edges, [2]int{u, v})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graph: missing \"n <count>\" header")
-	}
-	return Build(name, n, edges), nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestWriteDOT(t *testing.T) {
@@ -26,62 +24,16 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	r := rng.NewSeeded(1)
-	orig := GenerateConnected(50, func() *Graph { return ErdosRenyi(25, 0.25, r) })
+func TestWriteEdgeList(t *testing.T) {
+	g := Build("square+diagonal", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {2, 0}})
 	var buf bytes.Buffer
-	if err := orig.WriteEdgeList(&buf); err != nil {
+	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeList("roundtrip", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != orig.N() || back.M() != orig.M() {
-		t.Fatalf("size changed: %d/%d -> %d/%d", orig.N(), orig.M(), back.N(), back.M())
-	}
-	for v := 0; v < orig.N(); v++ {
-		for _, u := range orig.Neighbors(v) {
-			if !back.HasEdge(v, int(u)) {
-				t.Fatalf("edge (%d,%d) lost", v, u)
-			}
-		}
-	}
-}
-
-func TestReadEdgeListCommentsAndBlanks(t *testing.T) {
-	in := "# a comment\n\nn 3\n0 1\n# another\n1 2\n"
-	g, err := ReadEdgeList("x", strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 3 || g.M() != 2 {
-		t.Fatalf("parsed n=%d m=%d", g.N(), g.M())
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	cases := map[string]string{
-		"no header":    "0 1\n",
-		"bad header":   "vertices 3\n",
-		"neg count":    "n -2\n",
-		"bad edge":     "n 3\nzero one\n",
-		"out of range": "n 2\n0 5\n",
-		"empty":        "",
-	}
-	for name, in := range cases {
-		if _, err := ReadEdgeList("x", strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: expected error", name)
-		}
-	}
-}
-
-func TestReadEdgeListIsolatedVertices(t *testing.T) {
-	g, err := ReadEdgeList("iso", strings.NewReader("n 5\n0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 5 || g.Degree(4) != 0 {
-		t.Fatalf("isolated vertices lost: n=%d", g.N())
+	// Header, then each undirected edge once as "u v" with u < v, in
+	// vertex order; vertex 4 is isolated and only counted in the header.
+	const want = "n 5\n0 1\n0 2\n0 3\n1 2\n2 3\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("edge list:\n%s\nwant:\n%s", got, want)
 	}
 }

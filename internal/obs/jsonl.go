@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
+	"repro/internal/lineio"
 	"repro/internal/trace"
 )
 
@@ -151,33 +151,17 @@ func WriteEvents(w io.Writer, evs []Event) error {
 // Malformed input returns an error — never a panic — which the fuzz
 // harness pins.
 func ReadEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var evs []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var we wireEvent
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&we); err != nil {
-			return nil, fmt.Errorf("obs: events jsonl line %d: %w", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("obs: events jsonl line %d: trailing data after the event object", line)
-		}
-		ev, err := fromWire(&we)
+	err := lineio.JSONL(r, lineio.MaxLine, func(_ int, we *wireEvent) error {
+		ev, err := fromWire(we)
 		if err != nil {
-			return nil, fmt.Errorf("obs: events jsonl line %d: %w", line, err)
+			return err
 		}
 		evs = append(evs, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: events jsonl: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("obs: events jsonl %w", err)
 	}
 	return evs, nil
 }

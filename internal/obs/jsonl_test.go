@@ -108,6 +108,8 @@ func TestReadEventsErrors(t *testing.T) {
 		{"two payloads", `{"kind":"lanes","round":1,"lane":{"shard":0,"inbound":1},"window":{}}`, "carries"},
 		{"mismatched payload", `{"kind":"window","round":1,"lane":{"shard":0,"inbound":1}}`, "carries"},
 		{"trailing data", `{"kind":"lanes","round":1,"lane":{"shard":0,"inbound":1}} {"x":1}`, "trailing"},
+		{"trailing brace", `{"kind":"lanes","round":1,"lane":{"shard":0,"inbound":1}}}`, "line 1: trailing"},
+		{"trailing bracket", `{"kind":"lanes","round":1,"lane":{"shard":0,"inbound":1}}]`, "line 1: trailing"},
 		{"second line", "{\"kind\":\"lanes\",\"round\":1,\"lane\":{\"shard\":0,\"inbound\":1}}\n{bad}", "line 2"},
 	}
 	for _, tc := range cases {

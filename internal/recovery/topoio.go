@@ -1,27 +1,20 @@
 package recovery
 
 import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 
-	"repro/internal/dynamic"
+	"repro/internal/lineio"
 )
 
 // Topology ingestion: fleet inventories are described by per-resource
 // failure-domain records, mirroring the engine's trace and speed
 // formats —
 //
-//	CSV:   resource,rack,zone    (optional "resource,rack,zone" header,
-//	                              '#' comment lines allowed; each row
-//	                              assigns one resource and implicitly
-//	                              defines its rack's zone)
+//	CSV:   resource,rack,zone    (optional "resource,rack,zone" header;
+//	                              each row assigns one resource and
+//	                              implicitly defines its rack's zone)
 //	JSONL: {"rack":"r1","zone":"z1"}      defines rack r1 in zone z1
 //	       {"resource":0,"rack":"r1"}     assigns resource 0 to rack r1
 //	                                      (definitions may appear after
@@ -139,39 +132,19 @@ func ReadTopologyCSV(r io.Reader, n int) (*Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("recovery: topology csv: need a positive resource count, got %d", n)
 	}
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = 3
-	cr.TrimLeadingSpace = true
 	b := newTopoBuilder(n)
-	first := true
-	for {
-		fields, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
+	err := lineio.CSV(r, 3, "resource", func(line int, f []string) error {
+		resource, err := strconv.Atoi(f[0])
 		if err != nil {
-			return nil, fmt.Errorf("recovery: topology csv: %w", err)
+			return fmt.Errorf("bad resource %q", f[0])
 		}
-		if first {
-			first = false
-			if strings.EqualFold(strings.TrimSpace(fields[0]), "resource") {
-				continue // header row
-			}
+		if err := b.defineRack(f[1], f[2]); err != nil {
+			return err
 		}
-		line, _ := cr.FieldPos(0)
-		resource, err := strconv.Atoi(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("recovery: topology csv line %d: bad resource %q", line, fields[0])
-		}
-		rack := strings.TrimSpace(fields[1])
-		zone := strings.TrimSpace(fields[2])
-		if err := b.defineRack(rack, zone); err != nil {
-			return nil, fmt.Errorf("recovery: topology csv line %d: %w", line, err)
-		}
-		if err := b.assignResource(resource, rack, line); err != nil {
-			return nil, fmt.Errorf("recovery: topology csv line %d: %w", line, err)
-		}
+		return b.assignResource(resource, f[1], line)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("recovery: topology csv %w", err)
 	}
 	t, err := b.finish()
 	if err != nil {
@@ -195,44 +168,23 @@ func ReadTopologyJSONL(r io.Reader, n int) (*Topology, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("recovery: topology jsonl: need a positive resource count, got %d", n)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	b := newTopoBuilder(n)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		var rec topoRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
-		}
-		if err := dynamic.OneValuePerLine(dec); err != nil {
-			return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(line int, rec *topoRecord) error {
 		switch {
 		case rec.Rack == nil:
-			return nil, fmt.Errorf("recovery: topology jsonl line %d: record must carry \"rack\"", line)
+			return fmt.Errorf("record must carry \"rack\"")
 		case rec.Resource != nil && rec.Zone != nil:
-			return nil, fmt.Errorf("recovery: topology jsonl line %d: record carries both \"resource\" and \"zone\" — use one rack-definition line and one assignment line", line)
+			return fmt.Errorf("record carries both \"resource\" and \"zone\" — use one rack-definition line and one assignment line")
 		case rec.Zone != nil:
-			if err := b.defineRack(*rec.Rack, *rec.Zone); err != nil {
-				return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
-			}
+			return b.defineRack(*rec.Rack, *rec.Zone)
 		case rec.Resource != nil:
-			if err := b.assignResource(*rec.Resource, *rec.Rack, line); err != nil {
-				return nil, fmt.Errorf("recovery: topology jsonl line %d: %w", line, err)
-			}
+			return b.assignResource(*rec.Resource, *rec.Rack, line)
 		default:
-			return nil, fmt.Errorf("recovery: topology jsonl line %d: record must carry \"zone\" (rack definition) or \"resource\" (assignment)", line)
+			return fmt.Errorf("record must carry \"zone\" (rack definition) or \"resource\" (assignment)")
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("recovery: topology jsonl: %w", err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("recovery: topology jsonl %w", err)
 	}
 	t, err := b.finish()
 	if err != nil {
@@ -244,17 +196,7 @@ func ReadTopologyJSONL(r io.Reader, n int) (*Topology, error) {
 // LoadTopologyFile reads an n-resource topology from path, picking the
 // format by extension: .csv → CSV, .jsonl/.ndjson/.json → JSONL.
 func LoadTopologyFile(path string, n int) (*Topology, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: topology: %w", err)
-	}
-	defer f.Close()
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".csv":
-		return ReadTopologyCSV(f, n)
-	case ".jsonl", ".ndjson", ".json":
-		return ReadTopologyJSONL(f, n)
-	default:
-		return nil, fmt.Errorf("recovery: topology %s: unknown extension %q (want .csv, .jsonl, .ndjson or .json)", path, ext)
-	}
+	return lineio.Load("recovery: topology", path,
+		func(r io.Reader) (*Topology, error) { return ReadTopologyCSV(r, n) },
+		func(r io.Reader) (*Topology, error) { return ReadTopologyJSONL(r, n) })
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/dynamic"
+	"repro/internal/lineio"
 	"repro/internal/task"
 )
 
@@ -52,57 +52,45 @@ func AppendRecord(w io.Writer, rec *RoundRecord) error {
 // consecutive ascending rounds, weights valid task weights, op indices
 // non-negative and any dispatch string parseable. Malformed input
 // errors with the offending line number; it never panics (fuzzed by
-// FuzzRoundLog).
+// FuzzRoundLog). Lines are unbounded: one record carries a whole
+// round's admitted backlog, which may hold up to MaxPending weights.
 func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var recs []RoundRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	err := lineio.JSONL(r, 0, func(_ int, rec *RoundRecord) error {
+		if err := validateRecord(rec, len(recs)); err != nil {
+			return err
 		}
-		var rec RoundRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("serve: round log line %d: %w", line, err)
-		}
-		if err := validateRecord(&rec, len(recs), line); err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve: round log: %w", err)
+		recs = append(recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: round log %w", err)
 	}
 	return recs, nil
 }
 
-func validateRecord(rec *RoundRecord, idx, line int) error {
+func validateRecord(rec *RoundRecord, idx int) error {
 	if rec.Round != idx {
-		return fmt.Errorf("serve: round log line %d: round %d, want consecutive round %d", line, rec.Round, idx)
+		return fmt.Errorf("round %d, want consecutive round %d", rec.Round, idx)
 	}
 	for i, w := range rec.Weights {
 		if !task.ValidWeight(w) {
-			return fmt.Errorf("serve: round log line %d: weight %d is %v, violates wmin >= 1", line, i, w)
+			return fmt.Errorf("weight %d is %v, violates wmin >= 1", i, w)
 		}
 	}
 	for _, r := range rec.Down {
 		if r < 0 {
-			return fmt.Errorf("serve: round log line %d: negative drain target %d", line, r)
+			return fmt.Errorf("negative drain target %d", r)
 		}
 	}
 	for _, r := range rec.Up {
 		if r < 0 {
-			return fmt.Errorf("serve: round log line %d: negative add target %d", line, r)
+			return fmt.Errorf("negative add target %d", r)
 		}
 	}
 	if rec.Dispatch != "" {
 		if _, err := ParseDispatch(rec.Dispatch); err != nil {
-			return fmt.Errorf("serve: round log line %d: %w", line, err)
+			return err
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dynamic"
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
@@ -72,6 +73,8 @@ func TestReadRoundLogErrors(t *testing.T) {
 		{"negative drain", `{"t":0,"down":[-3]}` + "\n", "line 1: negative drain target -3"},
 		{"negative add", `{"t":0,"up":[-1]}` + "\n", "line 1: negative add target -1"},
 		{"bad dispatch", `{"t":0,"dispatch":"nope"}` + "\n", `line 1: serve: unknown dispatch policy "nope"`},
+		{"concatenated records", `{"t":0}{"t":1}` + "\n", "line 1: trailing data"},
+		{"trailing junk", `{"t":0} x` + "\n", "line 1: trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,6 +102,29 @@ func TestReadRoundLogValid(t *testing.T) {
 	}
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("parsed %+v, want %+v", recs, want)
+	}
+}
+
+// TestRoundLogFullBacklogRecord: StepRound logs a round's whole
+// admitted backlog as one record, and the backlog may reach the default
+// MaxPending of 1<<20 weights (~20 MB of JSON), so the reader must take
+// back any line the runtime writes or lbserve cannot resume from it.
+func TestRoundLogFullBacklogRecord(t *testing.T) {
+	r := rng.NewSeeded(7)
+	rec := RoundRecord{Weights: make([]float64, 1<<20)}
+	for i := range rec.Weights {
+		rec.Weights[i] = 1 + 1000*r.Float64() // 17 significant digits
+	}
+	var buf bytes.Buffer
+	if err := AppendRecord(&buf, &rec); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadRoundLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || !reflect.DeepEqual(recs[0], rec) {
+		t.Fatal("full-backlog record did not round-trip")
 	}
 }
 

@@ -2,10 +2,11 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/lineio"
 )
 
 // JSON Lines is the trace interchange format: one Record object per
@@ -44,41 +45,21 @@ func WriteRecords(w io.Writer, recs []Record) error {
 	return tw.Flush()
 }
 
-// maxLine bounds one trace line (a record is a few hundred bytes; the
-// headroom keeps hand-edited files working while bounding memory).
-const maxLine = 1 << 20
-
 // ReadRecords parses a JSON Lines trace stream. Blank lines and lines
 // starting with '#' are skipped; every other line must be exactly one
 // Record object with no unknown fields, and must pass Validate. Errors
 // carry the 1-based line number.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var recs []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 || raw[0] == '#' {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("trace: line %d: trailing data after record", line)
-		}
+	err := lineio.JSONL(r, lineio.MaxLine, func(_ int, rec *Record) error {
 		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			return err
 		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
+		recs = append(recs, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return recs, nil
 }

@@ -66,6 +66,8 @@ func TestReaderRejectsWithLineNumbers(t *testing.T) {
 		{"negative task", `{"round":1,"task":-5,"op":"hop","from":0,"to":1}`, "negative task"},
 		{"numeric op", `{"round":1,"task":0,"op":2,"from":0,"to":1}`, "must be a string"},
 		{"trailing data", `{"round":1,"task":0,"op":"hop","from":0,"to":1} {"x":1}`, "trailing data"},
+		{"trailing brace", `{"round":1,"task":0,"op":"hop","from":0,"to":1}}`, "line 1: trailing data"},
+		{"trailing bracket", `{"round":1,"task":0,"op":"hop","from":0,"to":1}]`, "line 1: trailing data"},
 		{"second line", "{\"round\":1,\"task\":0,\"op\":\"hop\",\"from\":0,\"to\":1}\nnot json", "line 2"},
 	}
 	for _, tc := range cases {
