@@ -18,9 +18,10 @@ race:
 
 # Coverage-guided fuzz of the shared line reader against the loops it
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
-# parsers, the JSONL event-sink reader, and the graph builder and the
-# move-batch sort against their references (mirrors the CI smoke job;
-# go accepts one -fuzz target per invocation).
+# parsers, the JSONL event-sink reader, the round-log codec against
+# encoding/json, and the graph builder and the move-batch sort against
+# their references (mirrors the CI smoke job; go accepts one -fuzz
+# target per invocation).
 fuzz:
 	for target in FuzzJSONL FuzzCSV; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/lineio || exit 1; \
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLog$$' -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundLogCodec$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
 

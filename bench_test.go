@@ -13,6 +13,7 @@ package thresholdlb
 import (
 	"bytes"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -711,6 +712,67 @@ func BenchmarkLiveIngest10k(b *testing.B) {
 			}
 		}
 		if err := rt.StepRound(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// roundLogBench is a serve-live-sized round log: 1,539 rounds (one
+// perfbench serve-live life) of 300 weights (three 100-task batches)
+// drawn from Pareto(2) and capped at 20, as AppendRecord writes it.
+func roundLogBench(b *testing.B) ([]serve.RoundRecord, []byte) {
+	b.Helper()
+	r := rng.NewSeeded(0x5e7e)
+	recs := make([]serve.RoundRecord, 1539)
+	var buf bytes.Buffer
+	for i := range recs {
+		w := make([]float64, 300)
+		for j := range w {
+			w[j] = math.Min(r.Pareto(1, 2), 20)
+		}
+		recs[i] = serve.RoundRecord{Round: i, Weights: w}
+		if err := serve.AppendRecord(&buf, &recs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return recs, buf.Bytes()
+}
+
+// BenchmarkReadRoundLog: the read a live-runtime resume makes of its
+// round log. canonical is the log as the runtime writes it, whose lines
+// ReadRoundLog parses itself; spaced is the same log with a space after
+// every comma, a hand-formatted log whose every line takes the strict
+// encoding/json decode. One op reads the whole log.
+func BenchmarkReadRoundLog(b *testing.B) {
+	recs, canonical := roundLogBench(b)
+	for _, bc := range []struct {
+		name string
+		log  []byte
+	}{
+		{"canonical", canonical},
+		{"spaced", bytes.ReplaceAll(canonical, []byte(","), []byte(", "))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.log)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := serve.ReadRoundLog(bytes.NewReader(bc.log))
+				if err != nil || len(got) != len(recs) {
+					b.Fatalf("read %d of %d records: %v", len(got), len(recs), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAppendRecord: the round log's write of one serve-live round
+// record (300 weights), as StepRound makes it ahead of every round.
+func BenchmarkAppendRecord(b *testing.B) {
+	recs, _ := roundLogBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve.AppendRecord(io.Discard, &recs[i%len(recs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,10 +28,12 @@
 // backlog, checkpoints the full engine state to -snapshot (atomic
 // write) and exits; a restart with the same flags finds the snapshot
 // and resumes exactly where it stopped, recovering any online
-// dispatch swap from the round log.
+// dispatch swap from the round log and replacing the log atomically
+// with its records up to the snapshot's round.
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -40,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -187,29 +190,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The round log is write-ahead: on a fresh boot it restarts empty;
 	// on resume, records past the snapshot's round (stepped after the
 	// last checkpoint by a run that died uncheckpointed) are dropped so
-	// the log stays consecutive with what the engine will re-run.
+	// the log stays consecutive with what the engine will re-run. The
+	// kept records replace the log atomically, so a crash mid-rewrite
+	// leaves the old log whole.
 	var logFile *os.File
 	if *roundLog != "" {
-		logFile, err = os.Create(*roundLog)
+		if resumed {
+			// Engine resumes at the snapshot round; keep exactly the
+			// records before it.
+			keep := prevRecs
+			if next := rtNextRound(rt); next < len(keep) {
+				keep = keep[:next]
+			}
+			if err := rewriteRoundLog(*roundLog, keep); err != nil {
+				return err
+			}
+			logFile, err = os.OpenFile(*roundLog, os.O_WRONLY|os.O_APPEND, 0)
+		} else {
+			logFile, err = os.Create(*roundLog)
+		}
 		if err != nil {
 			return err
 		}
 		defer logFile.Close()
-		if resumed {
-			keep := prevRecs
-			next := 0
-			if len(keep) > 0 {
-				// Engine resumes at the snapshot round; keep exactly the
-				// records before it.
-				next = rtNextRound(rt)
-				if next < len(keep) {
-					keep = keep[:next]
-				}
-			}
-			if err := lb.WriteRoundLog(logFile, keep); err != nil {
-				return err
-			}
-		}
 		opts.LogWriter = logFile
 	}
 
@@ -279,6 +282,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "migrations: %d (weight %.0f)\n", res.Migrations, res.MovedWeight)
 	if *snapPath != "" {
 		fmt.Fprintf(stdout, "snapshot:   %s (resume by restarting with the same flags)\n", *snapPath)
+	}
+	return nil
+}
+
+// rewriteRoundLog replaces the round log at path with recs: written
+// through a buffer to a temp file in the same directory, synced, then
+// renamed over the log, whose permissions it keeps. On any error the
+// old log is left as it was.
+func rewriteRoundLog(path string, recs []lb.RoundRecord) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), ".roundlog-*.tmp")
+	if err != nil {
+		return fmt.Errorf("rewriting round log: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("rewriting round log: %w", err)
+		}
+	}()
+	if fi, err := os.Stat(path); err == nil {
+		if err := f.Chmod(fi.Mode().Perm()); err != nil {
+			return err
+		}
+	}
+	w := bufio.NewWriter(f)
+	if err := lb.WriteRoundLog(w, recs); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync()
+		d.Close()
 	}
 	return nil
 }

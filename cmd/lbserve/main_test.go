@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -185,6 +186,64 @@ func TestServeSIGTERMCheckpointResume(t *testing.T) {
 	if got := parseArrived(t, s2.out.String()); got != total {
 		t.Fatalf("resumed run arrived %d tasks, want %d across both runs\n%s", got, total, s2.out)
 	}
+}
+
+// TestRewriteRoundLog: resume replaces the round log with the records
+// it keeps, and a rewrite that fails midway leaves the old log whole.
+func TestRewriteRoundLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	recs := []lb.RoundRecord{
+		{Round: 0, Weights: []float64{1, 2.5}},
+		{Round: 1, Down: []int{3}, Dispatch: "power-of-2"},
+		{Round: 2, Weights: []float64{7}},
+	}
+	var old bytes.Buffer
+	if err := lb.WriteRoundLog(&old, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o640); err != nil {
+		t.Fatal(err)
+	}
+	onlyLog := func() {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != "run.jsonl" {
+			t.Fatalf("directory holds %v, want only run.jsonl", ents)
+		}
+	}
+
+	// An encode error on the second record: nothing replaces the log.
+	bad := []lb.RoundRecord{recs[0], {Round: 1, Weights: []float64{math.NaN()}}, recs[2]}
+	if err := rewriteRoundLog(path, bad); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("rewrite with a NaN weight: %v, want the encode error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old.Bytes()) {
+		t.Fatalf("failed rewrite changed the log (%v):\n%s", err, got)
+	}
+	onlyLog()
+
+	keep := recs[:2]
+	if err := rewriteRoundLog(path, keep); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := lb.WriteRoundLog(&want, keep); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("rewritten log (%v):\n%s\nwant:\n%s", err, got, want.Bytes())
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o640 {
+		t.Fatalf("rewritten log mode %v, want the old log's 0640", fi.Mode())
+	}
+	onlyLog()
 }
 
 // slowWriter stalls every write, as a stdout piped to a slow log

@@ -7,7 +7,9 @@
 //   - one record per line; blank lines and lines starting with '#'
 //     are skipped;
 //   - JSONL lines decode exactly one value with unknown fields
-//     rejected, and anything after it on the line is an error;
+//     rejected, and anything after it on the line is an error (Lines
+//     and Decode are the two halves, for a format that parses its own
+//     lines and hands the rest to Decode);
 //   - CSV rows have a fixed or free arity, an optional header row
 //     named by its first field, and whitespace-trimmed fields;
 //   - every error names its 1-based line as "line N: …".
@@ -34,6 +36,20 @@ const MaxLine = 1 << 20
 // JSONL decodes one T per line of r and hands it to row with its line
 // number. maxLine bounds a line as MaxLine does; 0 means unbounded.
 func JSONL[T any](r io.Reader, maxLine int, row func(line int, rec *T) error) error {
+	return Lines(r, maxLine, func(line int, text []byte) error {
+		var rec T
+		if err := Decode(text, &rec); err != nil {
+			return err
+		}
+		return row(line, &rec)
+	})
+}
+
+// Lines hands each record line of r to fn with its 1-based line
+// number: whitespace-trimmed, never empty, never a '#' comment. text
+// is only valid until fn returns. maxLine bounds a line as MaxLine
+// does; 0 means unbounded. fn's error comes back as "line N: …".
+func Lines(r io.Reader, maxLine int, fn func(line int, text []byte) error) error {
 	if maxLine <= 0 {
 		maxLine = math.MaxInt
 	}
@@ -46,17 +62,7 @@ func JSONL[T any](r io.Reader, maxLine int, row func(line int, rec *T) error) er
 		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		var rec T
-		dec := json.NewDecoder(bytes.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
-		}
-		// text is trimmed, so anything after the value is trailing data.
-		if dec.InputOffset() != int64(len(text)) {
-			return fmt.Errorf("line %d: trailing data after the record", line)
-		}
-		if err := row(line, &rec); err != nil {
+		if err := fn(line, text); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
 	}
@@ -64,6 +70,21 @@ func JSONL[T any](r io.Reader, maxLine int, row func(line int, rec *T) error) er
 		return fmt.Errorf("line %d: exceeds the %d-byte line limit", line+1, maxLine)
 	} else if err != nil {
 		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
+}
+
+// Decode decodes text, which must hold exactly one JSON value, into v,
+// rejecting unknown fields. text is expected trimmed: any byte after
+// the value, whitespace included, is trailing data.
+func Decode(text []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(text))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.InputOffset() != int64(len(text)) {
+		return errors.New("trailing data after the record")
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package lineio
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -55,6 +56,46 @@ func TestJSONL(t *testing.T) {
 	} {
 		if _, err := readJSONL(tc.in, MaxLine); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestLines: the iterator hands over each record line trimmed, with
+// its number, and wraps the callback's error with it; it decodes
+// nothing.
+func TestLines(t *testing.T) {
+	var got []string
+	err := Lines(strings.NewReader("# c\n\n  not json \r\n\t#x\n{}\nstop\nnever\n"), MaxLine, func(line int, text []byte) error {
+		got = append(got, fmt.Sprintf("%d:%s", line, text))
+		if string(text) == "stop" {
+			return errors.New("stopped")
+		}
+		return nil
+	})
+	if want := []string{"3:not json", "5:{}", "6:stop"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("lines %q, want %q", got, want)
+	}
+	if err == nil || err.Error() != "line 6: stopped" {
+		t.Fatalf("error %v, want line 6: stopped", err)
+	}
+}
+
+// TestDecode: exactly one value, unknown fields rejected, and any byte
+// after the value, whitespace included, is trailing data.
+func TestDecode(t *testing.T) {
+	var r rec
+	if err := Decode([]byte(`{"round":4,"weight":1.5}`), &r); err != nil || *r.Round != 4 || *r.Weight != 1.5 {
+		t.Fatalf("decode: %+v %v", r, err)
+	}
+	for in, want := range map[string]string{
+		`{"round":1,"w":2}`: `json: unknown field "w"`,
+		`{"round":1} `:      "trailing data after the record",
+		`{"round":1}{}`:     "trailing data after the record",
+		``:                  "EOF",
+	} {
+		var r rec
+		if err := Decode([]byte(in), &r); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", in, err, want)
 		}
 	}
 }

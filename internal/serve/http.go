@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+
+	"repro/internal/lineio"
 )
 
 // Routes mounts the runtime's front door on mux (typically the obs
@@ -20,6 +23,9 @@ import (
 //	                 next round boundary.
 //	GET  /statusz  — runtime stats JSON.
 //	GET  /healthz  — liveness ("ok", or 503 once draining).
+//
+// A POST body is exactly one JSON value: unknown fields, trailing data
+// and a body over maxBody are a 400.
 func Routes(mux *http.ServeMux, rt *Runtime) {
 	mux.HandleFunc("POST /ingest", rt.handleIngest)
 	mux.HandleFunc("POST /reconfig", rt.handleReconfig)
@@ -79,11 +85,15 @@ func (rt *Runtime) handleHealth(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// decodeBody parses a JSON request body into dst, answering 400 itself
-// on malformed input.
+// decodeBody parses a request body holding exactly one JSON value into
+// dst, with the round log's strict rules (unknown fields and trailing
+// data rejected), answering 400 itself on malformed input.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody))
-	if err := dec.Decode(dst); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = lineio.Decode(bytes.TrimSpace(body), dst)
+	}
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -138,14 +138,42 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
+// TestHTTPStrictBodies: a body is exactly one JSON value. A misspelled
+// field or data after the value is a 400 that stages and admits
+// nothing; trailing whitespace is fine.
+func TestHTTPStrictBodies(t *testing.T) {
+	for _, tc := range []struct {
+		name, path, body string
+		code             int
+		want             string
+	}{
+		{"reconfig unknown field", "/reconfig", `{"dwon":[3]}`, http.StatusBadRequest, `unknown field "dwon"`},
+		{"ingest trailing data", "/ingest", "[1,2] garbage", http.StatusBadRequest, "trailing data"},
+		{"ingest second value", "/ingest", "[1,2][3]", http.StatusBadRequest, "trailing data"},
+		{"ingest trailing whitespace", "/ingest", "[1,2] \r\n", http.StatusOK, `"accepted":2`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRuntime(t, Options{})
+			srv := frontDoor(t, rt)
+			code, body := post(t, srv.URL+tc.path, tc.body)
+			if code != tc.code || !strings.Contains(body, tc.want) {
+				t.Fatalf("POST %s %q: %d %s, want %d containing %q", tc.path, tc.body, code, body, tc.code, tc.want)
+			}
+			if n := rt.pendingLen(); code != http.StatusOK && n != 0 {
+				t.Fatalf("rejected body staged %d items", n)
+			}
+		})
+	}
+}
+
 func TestHTTPBodyLimit(t *testing.T) {
 	rt := testRuntime(t, Options{})
 	srv := frontDoor(t, rt)
-	// A body past maxBody truncates mid-array and fails to parse.
+	// A body past maxBody is refused whole.
 	big := bytes.Repeat([]byte("1,"), maxBody)
-	code, _ := post(t, srv.URL+"/ingest", "["+string(big)+"1]")
-	if code != http.StatusBadRequest {
-		t.Fatalf("oversized body: %d, want 400", code)
+	code, body := post(t, srv.URL+"/ingest", "["+string(big)+"1]")
+	if code != http.StatusBadRequest || !strings.Contains(body, "too large") {
+		t.Fatalf("oversized body: %d %s, want 400 too large", code, body)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,8 +21,16 @@ import (
 // round, in what order, and which reconfiguration ops rode along.
 // Replaying the records through a fresh engine with the same scenario
 // configuration reproduces the live Result bit-for-bit (weights
-// round-trip exactly: encoding/json emits the shortest decimal that
+// round-trip exactly: a weight is written as the shortest decimal that
 // parses back to the same float64).
+//
+// The runtime formats and parses its own lines with strconv: a log of
+// a few thousand rounds carries millions of weights, and every resume
+// reads it whole. The bytes are exactly those json.Marshal writes, and
+// any line not in that shape — hand-edited, spaced, reordered — goes
+// to the strict encoding/json decode every other JSONL file uses, so
+// what the log accepts and rejects does not depend on which path read
+// a line.
 
 // RoundRecord is one stepped round's external input.
 type RoundRecord struct {
@@ -37,15 +48,68 @@ type RoundRecord struct {
 	Dispatch string `json:"dispatch,omitempty"`
 }
 
-// AppendRecord writes rec as one JSONL line.
+// AppendRecord writes rec as one JSONL line: json.Marshal's bytes and
+// a newline. A NaN or infinite weight fails as json.Marshal does, and
+// nothing is written.
 func AppendRecord(w io.Writer, rec *RoundRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	b := make([]byte, 0, 64+20*len(rec.Weights))
+	b = append(b, `{"t":`...)
+	b = strconv.AppendInt(b, int64(rec.Round), 10)
+	if len(rec.Weights) > 0 {
+		b = append(b, `,"w":[`...)
+		for i, w := range rec.Weights {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return &json.UnsupportedValueError{Value: reflect.ValueOf(w), Str: strconv.FormatFloat(w, 'g', -1, 64)}
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendFloat(b, w)
+		}
+		b = append(b, ']')
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	b = appendInts(b, `,"down":[`, rec.Down)
+	b = appendInts(b, `,"up":[`, rec.Up)
+	if rec.Dispatch != "" {
+		s, err := json.Marshal(rec.Dispatch)
+		if err != nil {
+			return err
+		}
+		b = append(b, `,"dispatch":`...)
+		b = append(b, s...)
+	}
+	_, err := w.Write(append(b, '}', '\n'))
 	return err
+}
+
+// appendFloat formats a finite w as encoding/json does: the shortest
+// decimal that parses back to w, in exponent form below 1e-6 and from
+// 1e21, with no leading zero in a negative exponent.
+func appendFloat(b []byte, w float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(w); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, w, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+func appendInts(b []byte, key string, vs []int) []byte {
+	if len(vs) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
 }
 
 // ReadRoundLog parses and validates a JSONL round log: records must be
@@ -55,18 +119,183 @@ func AppendRecord(w io.Writer, rec *RoundRecord) error {
 // FuzzRoundLog). Lines are unbounded: one record carries a whole
 // round's admitted backlog, which may hold up to MaxPending weights.
 func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
-	var recs []RoundRecord
-	err := lineio.JSONL(r, 0, func(_ int, rec *RoundRecord) error {
-		if err := validateRecord(rec, len(recs)); err != nil {
+	var (
+		recs []RoundRecord
+		ws   []float64
+	)
+	err := lineio.Lines(r, 0, func(_ int, text []byte) error {
+		rec, err := decodeRecord(text, &ws)
+		if err != nil {
 			return err
 		}
-		recs = append(recs, *rec)
+		if err := validateRecord(&rec, len(recs)); err != nil {
+			return err
+		}
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: round log %w", err)
 	}
 	return recs, nil
+}
+
+// decodeRecord decodes one round-log line: a line in AppendRecord's
+// shape by parseRecord, any other by the strict decode. Only the strict
+// path's record escapes to the heap, which is why this is a function
+// of its own rather than part of ReadRoundLog's loop.
+func decodeRecord(text []byte, ws *[]float64) (RoundRecord, error) {
+	if rec, ok := parseRecord(text, ws); ok {
+		return rec, nil
+	}
+	var rec RoundRecord
+	err := lineio.Decode(text, &rec)
+	return rec, err
+}
+
+// parseRecord parses a line of the shape AppendRecord writes: keys in
+// field order, no whitespace, non-empty arrays, JSON numbers and a
+// dispatch string of printable ASCII with nothing to unescape. Any
+// other line gives ok false and a zero record, for the strict decode;
+// a line it accepts gives what the strict decode would
+// (FuzzRoundLogCodec checks both). ws is scratch space for the weights.
+func parseRecord(p []byte, ws *[]float64) (rec RoundRecord, ok bool) {
+	if !cut(&p, `{"t":`) {
+		return RoundRecord{}, false
+	}
+	round, n := parseInt(p)
+	if n == 0 {
+		return RoundRecord{}, false
+	}
+	rec.Round, p = round, p[n:]
+	if *ws, ok = parseArray(&p, `,"w":[`, parseFloat, (*ws)[:0]); !ok {
+		return RoundRecord{}, false
+	}
+	if len(*ws) > 0 {
+		rec.Weights = slices.Clone(*ws)
+	}
+	if rec.Down, ok = parseArray(&p, `,"down":[`, parseInt, nil); !ok {
+		return RoundRecord{}, false
+	}
+	if rec.Up, ok = parseArray(&p, `,"up":[`, parseInt, nil); !ok {
+		return RoundRecord{}, false
+	}
+	if cut(&p, `,"dispatch":"`) {
+		i := 0
+		for i < len(p) && p[i] >= ' ' && p[i] <= '~' && p[i] != '"' && p[i] != '\\' {
+			i++
+		}
+		if i == len(p) || p[i] != '"' {
+			return RoundRecord{}, false
+		}
+		rec.Dispatch = string(p[:i])
+		p = p[i+1:]
+	}
+	if string(p) != "}" {
+		return RoundRecord{}, false
+	}
+	return rec, true
+}
+
+// cut consumes prefix from the front of *p, reporting whether it was
+// there.
+func cut(p *[]byte, prefix string) bool {
+	if len(*p) < len(prefix) || string((*p)[:len(prefix)]) != prefix {
+		return false
+	}
+	*p = (*p)[len(prefix):]
+	return true
+}
+
+// parseArray parses key, which opens an array, and the non-empty array
+// of numbers after it, appending them to dst; an absent key leaves dst
+// as it is.
+func parseArray[T any](p *[]byte, key string, number func([]byte) (T, int), dst []T) ([]T, bool) {
+	if !cut(p, key) {
+		return dst, true
+	}
+	for {
+		v, n := number(*p)
+		if n == 0 {
+			return dst, false
+		}
+		dst, *p = append(dst, v), (*p)[n:]
+		if !cut(p, ",") {
+			return dst, cut(p, "]")
+		}
+	}
+}
+
+// parseInt and parseFloat parse the JSON number p starts with as
+// encoding/json does for an int and a float64: strconv of the number's
+// bytes, an int with no fraction or exponent. They return the number
+// and its length, 0 if p starts with none they accept.
+func parseInt(p []byte) (int, int) {
+	n, integer := numberLen(p)
+	if n == 0 || !integer {
+		return 0, 0
+	}
+	v, err := strconv.ParseInt(string(p[:n]), 10, 64)
+	if err != nil {
+		return 0, 0
+	}
+	return int(v), n
+}
+
+func parseFloat(p []byte) (float64, int) {
+	n, _ := numberLen(p)
+	if n == 0 {
+		return 0, 0
+	}
+	v, err := strconv.ParseFloat(string(p[:n]), 64)
+	if err != nil {
+		return 0, 0
+	}
+	return v, n
+}
+
+// numberLen is the length of the JSON number p starts with, 0 if it
+// starts with none; integer reports a number with no fraction or
+// exponent.
+func numberLen(p []byte) (n int, integer bool) {
+	digits := func(i int) int {
+		for i < len(p) && '0' <= p[i] && p[i] <= '9' {
+			i++
+		}
+		return i
+	}
+	i := 0
+	if i < len(p) && p[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(p) && p[i] == '0':
+		i++
+	case i < len(p) && '1' <= p[i] && p[i] <= '9':
+		i = digits(i)
+	default:
+		return 0, false
+	}
+	integer = true
+	if i < len(p) && p[i] == '.' {
+		j := digits(i + 1)
+		if j == i+1 {
+			return 0, false
+		}
+		i, integer = j, false
+	}
+	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
+		i++
+		if i < len(p) && (p[i] == '+' || p[i] == '-') {
+			i++
+		}
+		j := digits(i)
+		if j == i {
+			return 0, false
+		}
+		i, integer = j, false
+	}
+	return i, integer
 }
 
 func validateRecord(rec *RoundRecord, idx int) error {
