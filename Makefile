@@ -19,8 +19,9 @@ race:
 # Coverage-guided fuzz of the shared line reader against the loops it
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
 # parsers, the JSONL event-sink reader, the round-log codec against
-# encoding/json, and the graph builder and the move-batch sort against
-# their references (mirrors the CI smoke job; go accepts one -fuzz
+# encoding/json, the graph builder and the move-batch sort against
+# their references, and the delivery exchange against the sequential
+# delivery it replaced (mirrors the CI smoke job; go accepts one -fuzz
 # target per invocation).
 fuzz:
 	for target in FuzzJSONL FuzzCSV; do \
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLogCodec$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzExchange$$' -fuzztime 30s ./internal/core
 
 fmt:
 	gofmt -l .

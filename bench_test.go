@@ -111,7 +111,7 @@ func BenchmarkResourceControlledRound(b *testing.B) {
 			s = core.NewState(g, ts, placement, core.AboveAverage{Eps: 0.5}, uint64(i))
 			b.StartTimer()
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 }
 
@@ -131,7 +131,7 @@ func BenchmarkUserControlledRound(b *testing.B) {
 			s = core.NewState(g, ts, placement, core.AboveAverage{Eps: 0.2}, uint64(i))
 			b.StartTimer()
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 }
 

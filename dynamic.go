@@ -182,9 +182,9 @@ func LocalityRehome(topo *Topology) RehomePolicy { return &recovery.Locality{Top
 func SpeedWeightedRehome() RehomePolicy { return &dynamic.SpeedWeightedRehome{} }
 
 // ShardStat reports one worker shard's resource range and measured
-// phase cost — the observability surface of measured-cost shard sizing
-// (see DynamicScenario.OnRebalance).
-type ShardStat = dynamic.ShardStat
+// phase cost — the payload of the KindShardCost events that
+// measured-cost shard sizing publishes.
+type ShardStat = obs.ShardStat
 
 // ObsBroker is the streaming observability broker: a bounded
 // ring-buffer pub/sub fabric carrying a dynamic run's typed telemetry
@@ -469,17 +469,6 @@ type DynamicScenario struct {
 	// equalises. 0 selects the default (64); < 0 pins equal-count
 	// shards. Boundary placement never changes results.
 	RebalanceEvery int
-	// OnRebalance, if non-nil, receives per-shard measured costs at
-	// every rebalance point (Workers > 1 only); the slice is reused
-	// across calls.
-	OnRebalance func(round int, stats []ShardStat)
-	// OnLanes, if non-nil, receives the delivery exchange's per-lane
-	// move counts (row-major source×destination shard matrix,
-	// accumulated since the previous report) on the OnRebalance
-	// cadence — the backpressure telemetry that makes skewed migration
-	// patterns visible before they serialise the merge. Workers > 1
-	// only; the slice is reused across calls.
-	OnLanes func(round int, workers int, counts []int64)
 	// Rounds is the number of simulated rounds (required).
 	Rounds int
 	// Window is the metrics window length; 0 means 100 rounds.
@@ -739,8 +728,6 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 		Seed:             sc.Seed,
 		Workers:          sc.Workers,
 		RebalanceEvery:   sc.RebalanceEvery,
-		OnRebalance:      sc.OnRebalance,
-		OnLanes:          sc.OnLanes,
 		InitialWeights:   sc.InitialWeights,
 		InitialPlacement: sc.InitialPlacement,
 		CheckInvariants:  sc.CheckInvariants,

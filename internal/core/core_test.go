@@ -219,7 +219,7 @@ func TestLemma1AcceptFraction(t *testing.T) {
 		if f := s.AcceptFraction(); f < bound-1e-12 {
 			t.Fatalf("round %d: accept fraction %v below ε/(1+ε)=%v", i, f, bound)
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 }
 
@@ -316,40 +316,6 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
-func TestParallelStepMatchesSequential(t *testing.T) {
-	run := func(workers int, protoSel string) (RunResult, []float64) {
-		g := graph.Grid2D(6, 6, true)
-		r := rng.NewSeeded(13)
-		ts := task.NewSet(task.UniformRange{Lo: 1, Hi: 4}.Weights(150, r))
-		s := NewState(g, ts, singleSource(150), AboveAverage{Eps: 0.25}, 888)
-		var p Protocol
-		switch protoSel {
-		case "resource":
-			p = ResourceControlled{Kernel: walk.NewMaxDegree(g), Workers: workers}
-		case "user":
-			p = UserControlled{Alpha: 1, Workers: workers}
-		}
-		res := Run(s, p, RunOptions{MaxRounds: 100000})
-		loads := make([]float64, s.N())
-		for i := range loads {
-			loads[i] = s.Load(i)
-		}
-		return res, loads
-	}
-	for _, proto := range []string{"resource", "user"} {
-		seqRes, seqLoads := run(1, proto)
-		parRes, parLoads := run(4, proto)
-		if seqRes.Rounds != parRes.Rounds || seqRes.Migrations != parRes.Migrations {
-			t.Fatalf("%s: parallel run diverged: %+v vs %+v", proto, seqRes, parRes)
-		}
-		for i := range seqLoads {
-			if seqLoads[i] != parLoads[i] {
-				t.Fatalf("%s: load[%d] differs: %v vs %v", proto, i, seqLoads[i], parLoads[i])
-			}
-		}
-	}
-}
-
 func TestRunAlreadyBalanced(t *testing.T) {
 	g := graph.Complete(10)
 	ts := unitTasks(10)
@@ -420,7 +386,7 @@ func TestAcceptedTasksNeverMoveAgain(t *testing.T) {
 				}
 			}
 		}
-		p.Step(s)
+		s.Step(p)
 	}
 	if !s.Balanced() {
 		t.Fatal("did not balance")
@@ -500,10 +466,10 @@ func TestMigrationSortLargeMergePath(t *testing.T) {
 }
 
 // TestDeliverMigrationsShardOrderInvariant pins the engine's
-// cross-shard merge contract: DeliverMigrations must produce identical
-// stacks, locations and stats — MovedWeight's float rounding included
-// — no matter how the move set was partitioned and concatenated by
-// shards.
+// cross-shard merge contract on the sequential delivery reference: it
+// must produce identical stacks, locations and stats — MovedWeight's
+// float rounding included — no matter how the move set was partitioned
+// and concatenated by shards.
 func TestDeliverMigrationsShardOrderInvariant(t *testing.T) {
 	build := func() (*State, []Migration) {
 		r := rng.NewSeeded(99)
@@ -545,7 +511,7 @@ func TestDeliverMigrationsShardOrderInvariant(t *testing.T) {
 	}
 
 	s, moves := build()
-	ref := capture(s, s.DeliverMigrations(append([]Migration(nil), moves...)))
+	ref := capture(s, deliverReference(s, append([]Migration(nil), moves...)))
 
 	// Simulate different shard partitions: split the move set at every
 	// possible boundary pair and concatenate the chunks in reversed
@@ -562,7 +528,7 @@ func TestDeliverMigrationsShardOrderInvariant(t *testing.T) {
 		for i := len(parts) - 1; i >= 0; i-- {
 			shuffled = append(shuffled, parts[i]...)
 		}
-		got := capture(s2, s2.DeliverMigrations(shuffled))
+		got := capture(s2, deliverReference(s2, shuffled))
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("cuts %v: shard concatenation order leaked into the delivery:\ngot  %+v\nwant %+v", cuts, got, ref)
 		}
@@ -731,7 +697,7 @@ func TestPropertyRoundConservation(t *testing.T) {
 			s := NewState(g, ts, placement, AboveAverage{Eps: 0.3}, uint64(seed))
 			p := mk()
 			for round := 0; round < 5; round++ {
-				p.Step(s)
+				s.Step(p)
 				if err := s.CheckInvariants(); err != nil {
 					t.Logf("invariant: %v", err)
 					return false
@@ -777,7 +743,7 @@ func TestUserControlledSingleResourceNoPanic(t *testing.T) {
 	s := NewState(g, ts, singleSource(5), FixedVector{V: []float64{1}, Label: "tight1"}, 70)
 	p := UserControlled{Alpha: 1}
 	for i := 0; i < 10; i++ {
-		p.Step(s)
+		s.Step(p)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

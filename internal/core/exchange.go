@@ -23,16 +23,15 @@ package core
 // Determinism contract. The merge key (destination, task ID) is unique
 // per batch, so every destination resource receives its tasks in
 // ascending task-ID order regardless of which source shard proposed
-// them or how the resource range is partitioned — the same order the
-// sequential DeliverMigrations produces. Floating-point statistics are
-// made partition-invariant by the same trick the engine uses for
-// departures: MovedWeight is accumulated as one partial sum per
-// destination resource (in merge order, which is task-ID order) and the
-// partials are folded in ascending resource order at Finish. Both the
-// per-resource partials and the fold order are independent of the shard
-// boundaries, so the result is bit-identical for every worker count and
-// every (measured-cost) boundary placement. DeliverMigrations uses the
-// identical grouping, so the sequential path agrees bit for bit.
+// them or how the resource range is partitioned. Floating-point
+// statistics are made partition-invariant by the same trick the engine
+// uses for departures: MovedWeight is accumulated as one partial sum
+// per destination resource (in merge order, which is task-ID order) and
+// the partials are folded in ascending resource order at Finish. Both
+// the per-resource partials and the fold order are independent of the
+// shard boundaries, so the result is bit-identical for every worker
+// count and every (measured-cost) boundary placement — including the
+// one-shard batch that State.Step delivers a static round through.
 //
 // The Exchange is allocation-free once warm: lane cuts, merge cursors
 // and partial-sum buffers are reused across batches, and Route borrows
@@ -130,13 +129,15 @@ func (x *Exchange) Route(i int, moves []Migration) {
 	src.moves = moves
 	idx := 0
 	src.cuts[0] = 0
-	for j := 1; j < len(x.bounds); j++ {
+	last := len(x.bounds) - 1
+	for j := 1; j < last; j++ {
 		b := int32(x.bounds[j])
 		for idx < len(moves) && moves[idx].Dest < b {
 			idx++
 		}
 		src.cuts[j] = idx
 	}
+	src.cuts[last] = len(moves) // every destination lies below bounds[last] = n
 	if x.lanes != nil {
 		w := len(x.srcs)
 		for j := 0; j < w; j++ {
@@ -172,10 +173,12 @@ func (x *Exchange) ResetLaneCounts() {
 // DeliverShard merges destination shard j's inbound lanes — already
 // (dest, task ID)-sorted per lane — and applies the moves to s: stack
 // push, location update, overload tracking, per-resource MovedWeight
-// partials. It touches only shard j's resources (plus the delivered
-// tasks' location entries, each owned by exactly one move), so it is
-// safe to run concurrently for distinct j once every Route call has
-// completed.
+// partials. Each merge step takes the lane with the smallest head;
+// once only one lane is left, the rest of it is applied as one run, so
+// a one-shard batch is a single pass over its sorted moves. It touches
+// only shard j's resources (plus the delivered tasks' location
+// entries, each owned by exactly one move), so it is safe to run
+// concurrently for distinct j once every Route call has completed.
 func (x *Exchange) DeliverShard(s *State, j int) {
 	d := &x.dsts[j]
 	d.count = 0
@@ -189,7 +192,7 @@ func (x *Exchange) DeliverShard(s *State, j int) {
 		}
 	}
 	curDest := int32(-1)
-	run := 0.0
+	sum := 0.0
 	for live > 0 {
 		best := -1
 		var bm Migration
@@ -202,24 +205,30 @@ func (x *Exchange) DeliverShard(s *State, j int) {
 				best, bm = i, mv
 			}
 		}
-		d.heads[best]++
-		if d.heads[best] >= x.srcs[best].cuts[j+1] {
+		lo, end := d.heads[best], d.heads[best]+1
+		if live == 1 {
+			end = x.srcs[best].cuts[j+1]
+		}
+		d.heads[best] = end
+		if end == x.srcs[best].cuts[j+1] {
 			live--
 		}
-		if bm.Dest != curDest {
-			if curDest >= 0 {
-				d.partials = append(d.partials, run)
-				s.updateOverloaded(int(curDest))
+		for _, mv := range x.srcs[best].moves[lo:end] {
+			if mv.Dest != curDest {
+				if curDest >= 0 {
+					d.partials = append(d.partials, sum)
+					s.updateOverloaded(int(curDest))
+				}
+				curDest, sum = mv.Dest, 0
 			}
-			curDest, run = bm.Dest, 0
+			sum += mv.Task.Weight
+			s.stacks[mv.Dest].Push(mv.Task)
+			s.loc[mv.Task.ID] = mv.Dest
 		}
-		run += bm.Task.Weight
-		s.stacks[bm.Dest].Push(bm.Task)
-		s.loc[bm.Task.ID] = bm.Dest
-		d.count++
+		d.count += end - lo
 	}
 	if curDest >= 0 {
-		d.partials = append(d.partials, run)
+		d.partials = append(d.partials, sum)
 		s.updateOverloaded(int(curDest))
 	}
 }

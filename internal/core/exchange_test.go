@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,37 @@ import (
 	"repro/internal/rng"
 	"repro/internal/task"
 )
+
+// deliverReference is the sequential delivery that completed every
+// static round before State.Step delivered through a one-shard
+// Exchange (State.DeliverMigrations), kept verbatim apart from sorting
+// through a local buffer instead of the state's: the exchange must
+// reproduce its stacks, locations, overload tracker and statistics for
+// every partition and every split of the moves over source shards.
+func deliverReference(s *State, moves []Migration) StepStats {
+	sortMigrations(moves, make([]Migration, len(moves)))
+	stats := StepStats{Migrations: len(moves)}
+	curDest := int32(-1)
+	run := 0.0
+	for _, mv := range moves {
+		if mv.Dest != curDest {
+			if curDest >= 0 {
+				stats.MovedWeight += run
+				s.updateOverloaded(int(curDest))
+			}
+			curDest, run = mv.Dest, 0
+		}
+		run += mv.Task.Weight
+		s.stacks[mv.Dest].Push(mv.Task)
+		s.loc[mv.Task.ID] = mv.Dest
+	}
+	if curDest >= 0 {
+		stats.MovedWeight += run
+		s.updateOverloaded(int(curDest))
+	}
+	s.round++
+	return stats
+}
 
 // exchangeState builds a state with a clumped cross-shard move set:
 // tasks pulled off several source resources with destinations spread
@@ -65,12 +97,12 @@ func captureOutcome(s *State, st StepStats) exchangeOutcome {
 // TestExchangeMatchesDeliverMigrations is the core equivalence check:
 // for every shard-boundary layout (including uneven, measured-cost
 // style cuts) and every way the moves are scattered over source
-// shards, the exchange must reproduce the sequential DeliverMigrations
+// shards, the exchange must reproduce the sequential deliverReference
 // outcome exactly — stacks, locations, round counter, and the float
 // rounding of MovedWeight.
 func TestExchangeMatchesDeliverMigrations(t *testing.T) {
 	s, moves := exchangeState(t)
-	ref := captureOutcome(s, s.DeliverMigrations(append([]Migration(nil), moves...)))
+	ref := captureOutcome(s, deliverReference(s, append([]Migration(nil), moves...)))
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("reference state: %v", err)
 	}
@@ -102,7 +134,7 @@ func TestExchangeMatchesDeliverMigrations(t *testing.T) {
 		}
 		got := captureOutcome(s2, x.Finish(s2, true))
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("bounds %v: exchange diverges from DeliverMigrations:\ngot  %+v\nwant %+v", bounds, got, ref)
+			t.Fatalf("bounds %v: exchange diverges from deliverReference:\ngot  %+v\nwant %+v", bounds, got, ref)
 		}
 		if err := s2.CheckInvariants(); err != nil {
 			t.Fatalf("bounds %v: %v", bounds, err)
@@ -154,7 +186,7 @@ func TestExchangeEmptyBatchAndRoundAdvance(t *testing.T) {
 // checks deliveries still land correctly — the rebalancing contract.
 func TestExchangeSetBounds(t *testing.T) {
 	s, moves := exchangeState(t)
-	ref := captureOutcome(s, s.DeliverMigrations(append([]Migration(nil), moves...)))
+	ref := captureOutcome(s, deliverReference(s, append([]Migration(nil), moves...)))
 
 	s2, moves2 := exchangeState(t)
 	x := NewExchange([]int{0, 8, 16, 24})
@@ -169,4 +201,128 @@ func TestExchangeSetBounds(t *testing.T) {
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("rebalanced bounds diverge:\ngot  %+v\nwant %+v", got, ref)
 	}
+}
+
+// exchangeCase is one decoded FuzzExchange input: a partition of n
+// resources into contiguous shards, the initial placement and weights
+// of the tasks, and each task's destination (n = the task stays) and
+// the source shard whose lane routes its move.
+type exchangeCase struct {
+	n       int
+	bounds  []int
+	place   []int
+	weights []float64
+	dest    []int
+	lane    []int
+}
+
+// decodeExchangeCase turns fuzz bytes into a delivery case. data[0]
+// picks n (1–24 resources) and data[1] the shard count (1–8); the next
+// shards−1 bytes place the boundaries, each advancing by its byte
+// modulo the resources left, so shards may be empty. Every following
+// 4-byte record (up to 256) is one task: its resource, its destination
+// (the value n keeps it in place), its weight 1 + b/7 and the source
+// shard that routes its move. Task IDs are record positions, so they
+// are unique, while destinations repeat freely.
+func decodeExchangeCase(data []byte) (exchangeCase, bool) {
+	if len(data) < 2 {
+		return exchangeCase{}, false
+	}
+	c := exchangeCase{n: 1 + int(data[0])%24}
+	w := 1 + int(data[1])%8
+	data = data[2:]
+	c.bounds = make([]int, w+1)
+	c.bounds[w] = c.n
+	for j := 1; j < w; j++ {
+		var b byte
+		if len(data) > 0 {
+			b, data = data[0], data[1:]
+		}
+		c.bounds[j] = c.bounds[j-1] + int(b)%(c.n-c.bounds[j-1]+1)
+	}
+	for len(data) >= 4 && len(c.place) < 256 {
+		c.place = append(c.place, int(data[0])%c.n)
+		c.dest = append(c.dest, int(data[1])%(c.n+1))
+		c.weights = append(c.weights, 1+float64(data[2])/7)
+		c.lane = append(c.lane, int(data[3])%w)
+		data = data[4:]
+	}
+	return c, len(c.place) > 0
+}
+
+// build places the case's tasks and pulls the moving ones off their
+// stacks, returning the state and each source shard's lane of moves.
+func (c exchangeCase) build() (*State, [][]Migration) {
+	s := NewState(graph.Build("fuzz", c.n, nil), task.NewSet(c.weights), c.place,
+		AboveAverage{Eps: 0.25}, 1)
+	lanes := make([][]Migration, len(c.bounds)-1)
+	for r := 0; r < c.n; r++ {
+		var idx []int
+		for i, tk := range s.Stack(r).Tasks() {
+			if c.dest[tk.ID] < c.n {
+				idx = append(idx, i)
+			}
+		}
+		for _, tk := range s.removeForMigration(r, idx, nil) {
+			lanes[c.lane[tk.ID]] = append(lanes[c.lane[tk.ID]],
+				Migration{Task: tk, Dest: int32(c.dest[tk.ID])})
+		}
+	}
+	return s, lanes
+}
+
+// FuzzExchange holds the one delivery path to the sequential reference:
+// for any partition (empty shards included) and any split of a batch
+// over the source shards, Route, DeliverShard and Finish must leave the
+// same stacks, locations, loads, overload tracker and round counter as
+// deliverReference, and report the same StepStats, MovedWeight's bits
+// included.
+func FuzzExchange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ok := decodeExchangeCase(data)
+		if !ok {
+			return
+		}
+		ref, refLanes := c.build()
+		var all []Migration
+		for _, lane := range refLanes {
+			all = append(all, lane...)
+		}
+		want := deliverReference(ref, all)
+
+		s, lanes := c.build()
+		x := NewExchange(c.bounds)
+		for i, lane := range lanes {
+			x.Route(i, lane)
+		}
+		for j := range lanes {
+			x.DeliverShard(s, j)
+		}
+		got := x.Finish(s, true)
+
+		if got.Migrations != want.Migrations ||
+			math.Float64bits(got.MovedWeight) != math.Float64bits(want.MovedWeight) {
+			t.Fatalf("bounds %v: stats %+v, reference %+v", c.bounds, got, want)
+		}
+		if s.Round() != ref.Round() || s.OverloadedCount() != ref.OverloadedCount() {
+			t.Fatalf("bounds %v: round %d, %d overloaded; reference round %d, %d overloaded",
+				c.bounds, s.Round(), s.OverloadedCount(), ref.Round(), ref.OverloadedCount())
+		}
+		for r := 0; r < c.n; r++ {
+			if !reflect.DeepEqual(s.Stack(r).Tasks(), ref.Stack(r).Tasks()) ||
+				math.Float64bits(s.Load(r)) != math.Float64bits(ref.Load(r)) || s.over[r] != ref.over[r] {
+				t.Fatalf("bounds %v: resource %d holds %v (load %v, over %v), reference %v (load %v, over %v)",
+					c.bounds, r, s.Stack(r).Tasks(), s.Load(r), s.over[r],
+					ref.Stack(r).Tasks(), ref.Load(r), ref.over[r])
+			}
+		}
+		for id := range c.place {
+			if s.Location(id) != ref.Location(id) {
+				t.Fatalf("bounds %v: task %d on %d, reference %d", c.bounds, id, s.Location(id), ref.Location(id))
+			}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("bounds %v: %v", c.bounds, err)
+		}
+	})
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/walk"
-)
+import "repro/internal/walk"
 
 // StepStats summarises one protocol round.
 type StepStats struct {
@@ -12,23 +8,28 @@ type StepStats struct {
 	MovedWeight float64 // total weight of moved tasks
 }
 
-// Protocol advances the system by one synchronous round.
+// Protocol is a migration rule. It supplies the propose half of a
+// synchronous round; State.Step and the open-system engine deliver the
+// proposed moves through the same Exchange.
 type Protocol interface {
-	// Step executes one round, mutating s, and reports what moved.
-	Step(s *State) StepStats
 	// Name identifies the protocol in reports.
 	Name() string
+	// ProposeRange appends the propose-phase decisions for resources
+	// [lo, hi) to sc.Moves, removing the migrating tasks from their
+	// source stacks. It draws randomness only from the per-resource
+	// streams of [lo, hi), so any sharding of [0, n) produces the same
+	// move multiset as one sweep, and it is safe to call concurrently on
+	// disjoint ranges with distinct scratches. Callers settle LiveWMax
+	// first.
+	ProposeRange(s *State, lo, hi int, sc *ProposeScratch)
 }
 
 // ResourceControlled is Algorithm 5.1: every resource r with
 // x_r(t) > T_r removes each task in Ia ∪ Ic (the tasks above or
 // cutting the threshold) and reallocates it to a neighbour sampled
-// from the random-walk kernel. Workers > 1 splits the propose phase
-// across goroutines; results are identical to the sequential execution
-// because each resource draws only from its own RNG stream.
+// from the random-walk kernel.
 type ResourceControlled struct {
-	Kernel  walk.Kernel
-	Workers int // 0 or 1 = sequential
+	Kernel walk.Kernel
 }
 
 // Name identifies the protocol.
@@ -36,12 +37,7 @@ func (p ResourceControlled) Name() string {
 	return "resource-controlled(" + p.Kernel.Name() + ")"
 }
 
-// Step executes one synchronous round.
-func (p ResourceControlled) Step(s *State) StepStats {
-	return s.DeliverMigrations(stepPropose(p, s, p.Workers))
-}
-
-// ProposeRange implements RangeProposer: it scans resources [lo, hi),
+// ProposeRange implements Protocol: it scans resources [lo, hi),
 // popping overflow from overloaded ones and sampling a destination per
 // task from the source resource's own stream.
 func (p ResourceControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
@@ -73,12 +69,7 @@ func (p ResourceControlledSingle) Name() string {
 	return "resource-controlled-single(" + p.Kernel.Name() + ")"
 }
 
-// Step executes one synchronous round.
-func (p ResourceControlledSingle) Step(s *State) StepStats {
-	return s.DeliverMigrations(stepPropose(p, s, 1))
-}
-
-// ProposeRange implements RangeProposer.
+// ProposeRange implements Protocol.
 func (p ResourceControlledSingle) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 	for r := lo; r < hi; r++ {
 		if !s.over[r] {
@@ -89,39 +80,4 @@ func (p ResourceControlledSingle) ProposeRange(s *State, lo, hi int, sc *Propose
 		dest := p.Kernel.Step(r, s.rands[r])
 		sc.Moves = append(sc.Moves, Migration{Task: sc.tasks[0], Dest: int32(dest)})
 	}
-}
-
-// stepPropose collects a full propose phase for a standalone Step call
-// — sequentially into the state's reusable scratch, or sharded across
-// `workers` goroutines with private scratches. The concatenation order
-// of the shard buffers does not matter: DeliverMigrations re-sorts into
-// the canonical (dest, task ID) order before any delivery or
-// accounting.
-func stepPropose(p RangeProposer, s *State, workers int) []Migration {
-	n := s.N()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		sc := &s.propose
-		sc.Moves = sc.Moves[:0]
-		p.ProposeRange(s, 0, n, sc)
-		return sc.Moves
-	}
-	scs := make([]ProposeScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p.ProposeRange(s, lo, hi, &scs[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var moves []Migration
-	for _, sc := range scs {
-		moves = append(moves, sc.Moves...)
-	}
-	return moves
 }

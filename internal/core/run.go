@@ -60,7 +60,7 @@ func Run(s *State, p Protocol, opts RunOptions) RunResult {
 			res.Balanced = true
 			return res
 		}
-		st := p.Step(s)
+		st := s.Step(p)
 		res.Rounds++
 		res.Migrations += int64(st.Migrations)
 		res.MovedWeight += st.MovedWeight

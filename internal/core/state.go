@@ -16,8 +16,8 @@ import (
 // threshold vector, the task→resource map, and one RNG stream per
 // resource. Per-resource streams make every protocol step a
 // deterministic function of (seed, initial placement) regardless of
-// execution order, which is what allows the parallel step executor to
-// reproduce the sequential one bit-for-bit.
+// execution order, which is what lets the sharded open-system engine
+// reproduce Step bit for bit at any worker count.
 type State struct {
 	g      *graph.Graph
 	ts     *task.Set
@@ -46,10 +46,10 @@ type State struct {
 	liveWMaxCount int
 	liveWMaxDirty bool
 
-	// Reusable scratch for DeliverMigrations' canonical sort and for
-	// the propose phase of sequential Step calls.
-	sortScratch []Migration
-	propose     ProposeScratch
+	// Step's propose scratch and its one-shard delivery exchange, both
+	// reused across rounds (the exchange is built at the first Step).
+	propose ProposeScratch
+	exch    *Exchange
 
 	// In-flight ledger totals, maintained by the fault layer via
 	// MarkInFlight/ClearInFlight: live tasks currently held off every
@@ -350,82 +350,30 @@ type Migration struct {
 // the first few rounds, keeping the hot path allocation-free.
 type ProposeScratch struct {
 	// Moves accumulates the shard's proposed migrations. Callers reset
-	// it (Moves = Moves[:0]) between rounds and hand the union of all
-	// shards' moves to DeliverMigrations.
+	// it (Moves = Moves[:0]) between rounds and route it into an
+	// Exchange.
 	Moves []Migration
 
 	idx   []int       // per-resource index scratch (user-controlled coin flips)
 	tasks []task.Task // per-resource removed-task scratch
 }
 
-// RangeProposer is implemented by protocols whose propose phase can
-// run over disjoint resource ranges — the contract of the sharded
-// open-system engine. ProposeRange must draw randomness only from the
-// per-resource streams of [lo, hi), so that any sharding of [0, n)
-// produces the same move multiset as a single sequential sweep.
-type RangeProposer interface {
-	Protocol
-	// ProposeRange appends the propose-phase decisions for resources
-	// [lo, hi) to sc.Moves, removing the migrating tasks from their
-	// source stacks. Safe to call concurrently on disjoint ranges with
-	// distinct scratches.
-	ProposeRange(s *State, lo, hi int, sc *ProposeScratch)
-}
-
-// rangeCapable lets composite protocols (Mixed) report whether every
-// sub-protocol supports ranged proposing; the engine probes it before
-// committing to the sharded path.
-type rangeCapable interface{ RangeCapable() bool }
-
-// CanPropose reports whether p supports the sharded propose/deliver
-// split: it implements RangeProposer and, for composites, so does
-// every sub-protocol.
-func CanPropose(p Protocol) bool {
-	if _, ok := p.(RangeProposer); !ok {
-		return false
+// Step executes one synchronous round of p, the paper's round: it
+// settles the live-wmax cache, proposes over every resource into the
+// state's scratch, and delivers the moves as a one-shard Exchange
+// batch — the open-system engine's propose and delivery code on a
+// single shard. It advances the round counter and reports what moved.
+func (s *State) Step(p Protocol) StepStats {
+	s.LiveWMax()
+	sc := &s.propose
+	sc.Moves = sc.Moves[:0]
+	p.ProposeRange(s, 0, len(s.stacks), sc)
+	if s.exch == nil {
+		s.exch = NewExchange([]int{0, len(s.stacks)})
 	}
-	if rc, ok := p.(rangeCapable); ok {
-		return rc.RangeCapable()
-	}
-	return true
-}
-
-// DeliverMigrations completes a round for an externally collected move
-// set: it sorts moves by (destination, task ID), pushes them onto
-// their destination stacks in that order, advances the round counter,
-// and returns the round's statistics. Because the sort key is unique
-// per move, the result — stacks, locations, stats, float rounding
-// included — is independent of the order in which shards contributed
-// moves. MovedWeight is accumulated exactly like the parallel
-// Exchange: one partial sum per destination resource (in task-ID
-// order), folded in ascending resource order — so the sequential and
-// the exchange delivery paths agree bit for bit.
-func (s *State) DeliverMigrations(moves []Migration) StepStats {
-	if len(moves) > len(s.sortScratch) {
-		s.sortScratch = make([]Migration, len(moves))
-	}
-	sortMigrations(moves, s.sortScratch)
-	stats := StepStats{Migrations: len(moves)}
-	curDest := int32(-1)
-	run := 0.0
-	for _, mv := range moves {
-		if mv.Dest != curDest {
-			if curDest >= 0 {
-				stats.MovedWeight += run
-				s.updateOverloaded(int(curDest))
-			}
-			curDest, run = mv.Dest, 0
-		}
-		run += mv.Task.Weight
-		s.stacks[mv.Dest].Push(mv.Task)
-		s.loc[mv.Task.ID] = mv.Dest
-	}
-	if curDest >= 0 {
-		stats.MovedWeight += run
-		s.updateOverloaded(int(curDest))
-	}
-	s.round++
-	return stats
+	s.exch.Route(0, sc.Moves)
+	s.exch.DeliverShard(s, 0)
+	return s.exch.Finish(s, true)
 }
 
 // radixCutoff is the batch length from which sortMigrations switches

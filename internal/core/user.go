@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -18,8 +19,7 @@ import (
 // Alpha = 1 ("the factor we require in the analysis is quite
 // conservative"), which is also our experiments' default.
 type UserControlled struct {
-	Alpha   float64
-	Workers int // 0 or 1 = sequential
+	Alpha float64
 }
 
 // TheoryAlphaAboveAverage returns the Theorem 11 analysis constant
@@ -52,26 +52,23 @@ func (p UserControlled) leaveProbability(s *State, r int) float64 {
 	return prob
 }
 
-// Step executes one synchronous round.
-func (p UserControlled) Step(s *State) StepStats {
+// Validate rejects a coin that never comes up: Alpha must be positive.
+func (p UserControlled) Validate() error {
 	if p.Alpha <= 0 {
-		panic("core: UserControlled requires Alpha > 0")
+		return errors.New("core: UserControlled requires Alpha > 0")
 	}
-	// Settle the lazily recomputed live-wmax cache before the propose
-	// phase: leaveProbability reads it from every worker goroutine, and
-	// a dirty cache (possible after open-system departures) would make
-	// those reads racy writes.
-	s.LiveWMax()
-	return s.DeliverMigrations(stepPropose(p, s, p.Workers))
+	return nil
 }
 
-// ProposeRange implements RangeProposer: it flips the leave coin for
-// every task on each overloaded resource in [lo, hi) (bottom-to-top
-// order) and samples destinations uniformly over the other resources.
-// All randomness for resource r comes from r's own stream, keeping
-// sharded execution deterministic. Callers must settle LiveWMax before
-// proposing in parallel.
+// ProposeRange implements Protocol: it flips the leave coin for every
+// task on each overloaded resource in [lo, hi) (bottom-to-top order)
+// and samples destinations uniformly over the other resources. All
+// randomness for resource r comes from r's own stream, keeping sharded
+// execution deterministic.
 func (p UserControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
+	}
 	n := s.N()
 	if n < 2 {
 		return // nowhere to migrate on a single resource
@@ -114,17 +111,19 @@ func (p UserControlledGraph) Name() string {
 	return fmt.Sprintf("user-controlled-graph(alpha=%g)", p.Alpha)
 }
 
-// Step executes one synchronous round of the graph variant.
-func (p UserControlledGraph) Step(s *State) StepStats {
+// Validate rejects a coin that never comes up: Alpha must be positive.
+func (p UserControlledGraph) Validate() error {
 	if p.Alpha <= 0 {
-		panic("core: UserControlledGraph requires Alpha > 0")
+		return errors.New("core: UserControlledGraph requires Alpha > 0")
 	}
-	s.LiveWMax()
-	return s.DeliverMigrations(stepPropose(p, s, 1))
+	return nil
 }
 
-// ProposeRange implements RangeProposer.
+// ProposeRange implements Protocol.
 func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
+	}
 	inner := UserControlled{Alpha: p.Alpha}
 	g := s.Graph()
 	for r := lo; r < hi; r++ {
@@ -161,6 +160,24 @@ func (p Mixed) Name() string {
 	return fmt.Sprintf("mixed(%s|%s,period=%d)", p.A.Name(), p.B.Name(), p.Period)
 }
 
+// Validate checks the schedule and both sub-protocols.
+func (p Mixed) Validate() error {
+	if p.Period < 1 {
+		return errors.New("core: Mixed requires Period >= 1")
+	}
+	if p.A == nil || p.B == nil {
+		return errors.New("core: Mixed requires both sub-protocols")
+	}
+	for _, sub := range []Protocol{p.A, p.B} {
+		if v, ok := sub.(interface{ Validate() error }); ok {
+			if err := v.Validate(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // due returns the sub-protocol scheduled for the given round.
 func (p Mixed) due(round int) Protocol {
 	if p.Period < 1 {
@@ -172,19 +189,8 @@ func (p Mixed) due(round int) Protocol {
 	return p.B
 }
 
-// Step executes one synchronous round of whichever sub-protocol is due.
-func (p Mixed) Step(s *State) StepStats {
-	return p.due(s.round).Step(s)
-}
-
-// ProposeRange implements RangeProposer by delegating to the due
-// sub-protocol. Only valid when RangeCapable reports true.
+// ProposeRange implements Protocol by delegating to the due
+// sub-protocol.
 func (p Mixed) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
-	p.due(s.round).(RangeProposer).ProposeRange(s, lo, hi, sc)
-}
-
-// RangeCapable reports whether both sub-protocols support the sharded
-// propose/deliver split.
-func (p Mixed) RangeCapable() bool {
-	return CanPropose(p.A) && CanPropose(p.B)
+	p.due(s.round).ProposeRange(s, lo, hi, sc)
 }

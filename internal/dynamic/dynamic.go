@@ -298,8 +298,7 @@ type Config struct {
 	// (task, round, attempt), so faulty runs replay bit-identically for
 	// every worker count. nil — or a plan with all probabilities zero
 	// and no partitions — injects nothing and keeps the fault-free hot
-	// path byte-identical and allocation-free. Requires a range-proposer
-	// protocol (the sharded propose path is where the layer hooks in).
+	// path byte-identical and allocation-free.
 	Faults *faults.Plan
 	// Quarantine enables the flapping-resource hold-down; the zero value
 	// disables it.
@@ -326,19 +325,6 @@ type Config struct {
 	// placement never affects results — only the work split — so runs
 	// stay bit-identical across worker counts and machines.
 	RebalanceEvery int
-	// OnRebalance, if non-nil, receives the per-shard measured costs at
-	// every rebalance point (the -sharddebug hook). The stats slice is
-	// reused across calls. Only fires with Workers > 1.
-	OnRebalance func(round int, stats []ShardStat)
-	// OnLanes, if non-nil, receives the exchange's per-lane move counts
-	// — counts[i*workers+j] moves were routed from source shard i to
-	// destination shard j since the previous report — at the same
-	// RebalanceEvery cadence as OnRebalance. Lane counts are known at
-	// Route time, before the destination merge runs, so an
-	// all-targets-one-shard skew (a locality-policy failure mode under
-	// rack loss) is visible before it serialises the merge. The counts
-	// slice is reused across calls. Only fires with Workers > 1.
-	OnLanes func(round int, workers int, counts []int64)
 	// InitialWeights optionally pre-populates the system; paired with
 	// InitialPlacement (task → resource; nil places all on resource 0).
 	InitialWeights   []float64
@@ -419,13 +405,6 @@ type Config struct {
 // obs.ShardWindowStats for the per-shard variant streamed over
 // Config.Obs.
 type WindowStats = obs.WindowStats
-
-// ShardStat reports one shard's resource range and the wall-clock
-// nanos its sharded phases (service, propose, deliver, evacuate)
-// consumed since the previous rebalance — the observability surface of
-// measured-cost shard sizing. Aliased from internal/obs, where it is
-// also the shard-cost event payload.
-type ShardStat = obs.ShardStat
 
 // RecoveryStat reports one failure-recovery episode: a round in which
 // a SCRIPTED ChurnEvent took resources down opens an episode, and the
@@ -618,9 +597,6 @@ func validate(cfg Config) error {
 		if err := cfg.Faults.Validate(cfg.Graph.N()); err != nil {
 			return fmt.Errorf("dynamic: %w", err)
 		}
-		if !core.CanPropose(cfg.Protocol) {
-			return fmt.Errorf("dynamic: Config.Faults requires a range-proposer protocol (%T is not one)", cfg.Protocol)
-		}
 	}
 	if q := cfg.Quarantine; q.Flaps < 0 || q.Window < 0 || q.Cooloff < 0 {
 		return fmt.Errorf("dynamic: Config.Quarantine fields must be non-negative (%+v)", q)
@@ -661,7 +637,7 @@ func validate(cfg Config) error {
 	// ValidateFor additionally hands size-dependent components (a
 	// topology-backed re-home policy) the resource count they must
 	// cover.
-	for _, c := range []any{cfg.Arrivals, cfg.Service, cfg.Dispatch, cfg.Rehome, cfg.Tuner} {
+	for _, c := range []any{cfg.Protocol, cfg.Arrivals, cfg.Service, cfg.Dispatch, cfg.Rehome, cfg.Tuner} {
 		if v, ok := c.(interface{ Validate() error }); ok {
 			if err := v.Validate(); err != nil {
 				return err

@@ -105,8 +105,8 @@ func TestChurnConservesWeight(t *testing.T) {
 // nullProtocol never migrates — the "no balancing" control.
 type nullProtocol struct{}
 
-func (nullProtocol) Step(s *core.State) core.StepStats { return core.StepStats{} }
-func (nullProtocol) Name() string                      { return "null" }
+func (nullProtocol) ProposeRange(*core.State, int, int, *core.ProposeScratch) {}
+func (nullProtocol) Name() string                                             { return "null" }
 
 // TestHotspotNeedsBalancing routes every arrival to one ingress
 // resource and checks that the migration protocol is what spreads the
@@ -391,6 +391,30 @@ func TestConfigValidation(t *testing.T) {
 		cse.mutate(&cfg)
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), cse.want) {
 			t.Fatalf("want error containing %q, got %v", cse.want, err)
+		}
+	}
+
+	// A protocol that can never migrate (a coin that never comes up) or
+	// that would panic mid-run is a config error from every entry point.
+	protos := []struct {
+		p    core.Protocol
+		want string
+	}{
+		{core.UserControlled{Alpha: 0}, "UserControlled requires Alpha > 0"},
+		{core.UserControlled{Alpha: -1}, "UserControlled requires Alpha > 0"},
+		{core.UserControlledGraph{}, "UserControlledGraph requires Alpha > 0"},
+		{core.Mixed{A: core.UserControlled{Alpha: 1}, B: core.UserControlled{Alpha: 1}}, "Mixed requires Period >= 1"},
+	}
+	for _, pc := range protos {
+		cfg := good()
+		cfg.Protocol = pc.p
+		_, errRun := Run(cfg)
+		_, errNew := NewEngine(cfg)
+		_, errResume := Resume(strings.NewReader(""), cfg)
+		for _, err := range []error{errRun, errNew, errResume} {
+			if err == nil || !strings.Contains(err.Error(), pc.want) {
+				t.Fatalf("%#v: want error containing %q, got %v", pc.p, pc.want, err)
+			}
 		}
 	}
 }

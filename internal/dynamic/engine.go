@@ -94,10 +94,9 @@ type engine struct {
 	minUp     int
 	speeds    []float64 // per-resource speeds; nil = homogeneous
 	dispatch  Dispatch
-	rehome    RehomePolicy       // never nil; UniformRehome{} by default
-	rehomeObs RehomeObserver     // non-nil when the policy tracks the up set
-	proto     core.RangeProposer // nil → sequential Protocol.Step fallback
-	ptuner    PooledTuner        // nil → sequential Tuner.Refresh
+	rehome    RehomePolicy   // never nil; UniformRehome{} by default
+	rehomeObs RehomeObserver // non-nil when the policy tracks the up set
+	ptuner    PooledTuner    // nil → sequential Tuner.Refresh
 
 	s  *core.State
 	ts *task.Set
@@ -142,7 +141,6 @@ type engine struct {
 	seqNanos       [obs.NumPhases]int64 // engine-level phases (arrivals, tune)
 	costBuf        []float64            // per-resource cost scratch (lazily sized n)
 	boundsBuf      []int                // par.Balance output scratch
-	statsBuf       []ShardStat          // OnRebalance scratch
 
 	// Streaming observability (nil broker = disabled): events are
 	// published from the engine's sequential sections only, via the
@@ -338,7 +336,7 @@ func newEngine(cfg Config) *engine {
 	e.exch = core.NewExchange(e.bounds)
 	e.broker = cfg.Obs
 	e.domains = cfg.Domains
-	if cfg.OnLanes != nil || e.broker != nil {
+	if e.broker != nil {
 		e.exch.EnableLaneStats()
 	}
 	e.rebalanceEvery = cfg.RebalanceEvery
@@ -393,9 +391,6 @@ func newEngine(cfg Config) *engine {
 				e.alertActive[i] = make([]bool, len(e.domains[i].Names))
 			}
 		}
-	}
-	if core.CanPropose(cfg.Protocol) {
-		e.proto = cfg.Protocol.(core.RangeProposer)
 	}
 	if pt, ok := cfg.Tuner.(PooledTuner); ok {
 		e.ptuner = pt
@@ -505,7 +500,7 @@ func (e *engine) step(t int) error {
 		e.emitTelemetry(t + 1)
 	}
 	if doReb {
-		e.rebalance(t + 1)
+		e.rebalance()
 	}
 	if doTel || doReb {
 		e.resetTelemetry()
@@ -720,27 +715,22 @@ func (e *engine) round(t int) error {
 	// canonical (destination, task ID) order — no sequential delivery
 	// section. Finish folds the stats in a partition-independent order
 	// and advances the round.
-	var st core.StepStats
-	if e.proto != nil {
-		e.pool.Run(len(e.shards), e.proposeFn)
-		if e.traceOn {
-			// Shards are contiguous and ordered, so a shard-ascending
-			// drain is resource-ascending — the same canonical order for
-			// every partition.
-			for i := range e.shards {
-				sh := &e.shards[i]
-				for j := range sh.traceRecs {
-					e.emitTrace(&sh.traceRecs[j])
-				}
-				sh.traceRecs = sh.traceRecs[:0]
+	e.pool.Run(len(e.shards), e.proposeFn)
+	if e.traceOn {
+		// Shards are contiguous and ordered, so a shard-ascending drain
+		// is resource-ascending — the same canonical order for every
+		// partition.
+		for i := range e.shards {
+			sh := &e.shards[i]
+			for j := range sh.traceRecs {
+				e.emitTrace(&sh.traceRecs[j])
 			}
+			sh.traceRecs = sh.traceRecs[:0]
 		}
-		e.pool.Run(len(e.shards), e.deliverFn)
-		st = e.exch.Finish(s, true)
-		e.noteInbound()
-	} else {
-		st = e.cfg.Protocol.Step(s)
 	}
+	e.pool.Run(len(e.shards), e.deliverFn)
+	st := e.exch.Finish(s, true)
+	e.noteInbound()
 	e.res.Migrations += int64(st.Migrations)
 	e.res.MovedWeight += st.MovedWeight
 	e.wMigrations += int64(st.Migrations)
@@ -1178,7 +1168,7 @@ func (e *engine) proposeShard(i int) {
 	start := e.phaseStart()
 	sh := &e.shards[i]
 	sh.sc.Moves = sh.sc.Moves[:0]
-	e.proto.ProposeRange(e.s, sh.lo, sh.hi, &sh.sc)
+	e.cfg.Protocol.ProposeRange(e.s, sh.lo, sh.hi, &sh.sc)
 	moves := sh.sc.Moves
 	if e.inj != nil {
 		// The fault layer sits between propose and deliver: stateless
@@ -1323,19 +1313,7 @@ func (e *engine) noteInbound() {
 // cost, and par.Balance places the new boundaries. Runs every
 // rebalanceEvery rounds; results are unaffected (every phase is
 // partition-invariant), only the work split moves.
-func (e *engine) rebalance(round int) {
-	if e.cfg.OnLanes != nil {
-		e.cfg.OnLanes(round, len(e.shards), e.exch.LaneCounts())
-	}
-	if e.cfg.OnRebalance != nil {
-		e.statsBuf = e.statsBuf[:0]
-		for i := range e.shards {
-			e.statsBuf = append(e.statsBuf, ShardStat{
-				Lo: e.shards[i].lo, Hi: e.shards[i].hi, Nanos: e.shardPhaseSum(i),
-			})
-		}
-		e.cfg.OnRebalance(round, e.statsBuf)
-	}
+func (e *engine) rebalance() {
 	total := int64(0)
 	for i := range e.shards {
 		total += e.shardPhaseSum(i)

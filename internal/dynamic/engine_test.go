@@ -124,40 +124,6 @@ func TestWorkersExceedingResources(t *testing.T) {
 	}
 }
 
-// TestNonRangeProtocolFallback runs a protocol without ProposeRange
-// through the sharded engine: it must fall back to sequential Step and
-// still be worker-count-invariant.
-func TestNonRangeProtocolFallback(t *testing.T) {
-	g := graph.Complete(50)
-	build := func(workers int) Config {
-		return Config{
-			Graph:    g,
-			Protocol: nullProtocol{},
-			Arrivals: Poisson{Rate: 10, Weights: task.Pareto{Alpha: 2, Cap: 20}},
-			Service:  WeightProportional{Rate: 1},
-			Tuner:    &OracleTuner{Eps: 0.5},
-			Rounds:   60,
-			Window:   20,
-			Seed:     5,
-			Workers:  workers,
-		}
-	}
-	ref, err := Run(build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(build(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("fallback path diverged across workers:\ngot  %+v\nwant %+v", got, ref)
-	}
-	if got.Migrations != 0 {
-		t.Fatalf("null protocol migrated: %+v", got)
-	}
-}
-
 // TestSteadyStateZeroAllocs asserts the headline allocation budget:
 // once warmed up, the churnless Poisson configuration must run whole
 // rounds — arrivals, dispatch, service, tuner refresh, propose,
@@ -490,13 +456,13 @@ func TestChurnEventsRespectMinUp(t *testing.T) {
 
 // TestMeasuredCostRebalance drives the measured-cost shard sizing with
 // a deliberately skewed workload (hotspot ingress) and checks the
-// observability contract: OnRebalance fires on the configured period
-// with a valid, cost-annotated partition — and the run still matches
-// the equal-partition run bit for bit, because boundary placement can
-// never leak into results.
+// observability contract: every rebalance period publishes one
+// KindShardCost event per shard, together a valid, cost-annotated
+// partition — and the run still matches the equal-partition run bit for
+// bit, because boundary placement can never leak into results.
 func TestMeasuredCostRebalance(t *testing.T) {
 	g := graph.Complete(200)
-	build := func(every int, hook func(int, []ShardStat)) Config {
+	build := func(every int) Config {
 		return Config{
 			Graph:          g,
 			Protocol:       core.UserControlled{Alpha: 1},
@@ -509,16 +475,34 @@ func TestMeasuredCostRebalance(t *testing.T) {
 			Seed:           12,
 			Workers:        4,
 			RebalanceEvery: every,
-			OnRebalance:    hook,
 		}
 	}
-	calls := 0
-	ref, err := Run(build(-1, nil)) // pinned equal partition
+	ref, err := Run(build(-1)) // pinned equal partition
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(build(25, func(round int, sts []ShardStat) {
-		calls++
+	cfg := build(25)
+	broker := obs.NewBroker()
+	cfg.Obs = broker
+	sub := broker.Subscribe(obs.SubOptions{Kinds: obs.Mask(obs.KindShardCost), Capacity: 1 << 10})
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker.Close()
+	byRound := map[int][]obs.ShardCost{}
+	var rounds []int
+	for _, ev := range drainAll(sub) {
+		if _, ok := byRound[ev.Round]; !ok {
+			rounds = append(rounds, ev.Round)
+		}
+		byRound[ev.Round] = append(byRound[ev.Round], ev.ShardCost)
+	}
+	if len(rounds) != 8 {
+		t.Fatalf("shard costs reported at rounds %v over 200 rounds at period 25", rounds)
+	}
+	for _, round := range rounds {
+		sts := byRound[round]
 		if round%25 != 0 {
 			t.Fatalf("rebalance at round %d with period 25", round)
 		}
@@ -526,8 +510,8 @@ func TestMeasuredCostRebalance(t *testing.T) {
 			t.Fatalf("rebalance saw %d shards", len(sts))
 		}
 		prev := 0
-		for _, st := range sts {
-			if st.Lo != prev || st.Hi <= st.Lo {
+		for i, st := range sts {
+			if st.Shard != i || st.Lo != prev || st.Hi <= st.Lo {
 				t.Fatalf("invalid shard partition %+v", sts)
 			}
 			prev = st.Hi
@@ -535,12 +519,6 @@ func TestMeasuredCostRebalance(t *testing.T) {
 		if prev != 200 {
 			t.Fatalf("partition does not cover the range: %+v", sts)
 		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 8 {
-		t.Fatalf("OnRebalance fired %d times over 200 rounds at period 25", calls)
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("measured-cost boundaries changed the run:\ngot  %+v\nwant %+v", got, ref)

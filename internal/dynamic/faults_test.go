@@ -162,9 +162,6 @@ func TestPropertyFaultConservation(t *testing.T) {
 	r := rng.NewSeeded(0xfa17)
 	for trial := 0; trial < 12; trial++ {
 		cfg := randomPropertyConfig(r)
-		for !core.CanPropose(cfg.Protocol) {
-			cfg = randomPropertyConfig(r) // faults need a range proposer
-		}
 		cfg.Faults = randomFaultPlan(r, cfg.Graph.N(), cfg.Rounds)
 		if r.Bool(0.4) {
 			cfg.Quarantine = Quarantine{Flaps: 2 + r.Intn(3), Window: 20 + r.Intn(40), Cooloff: 10 + r.Intn(40)}
@@ -255,26 +252,5 @@ func TestFaultySteadyStateZeroAllocs(t *testing.T) {
 			t.Fatalf("workers=%d: fault-enabled steady-state round allocates %d times/op (%d B/op), want 0",
 				workers, allocs, res.AllocedBytesPerOp())
 		}
-	}
-}
-
-// TestFaultsRequireRangeProposer pins the config check: a plan on a
-// protocol without a range proposer is a load-time error, not a
-// silent no-fault run.
-func TestFaultsRequireRangeProposer(t *testing.T) {
-	g := graph.Complete(16)
-	cfg := Config{
-		Graph:    g,
-		Protocol: nullProtocol{},
-		Arrivals: Poisson{Rate: 2, Weights: task.Uniform{W: 1}},
-		Service:  Geometric{P: 0.3},
-		Tuner:    &OracleTuner{Eps: 0.5},
-		Faults:   &faults.Plan{Loss: 0.1},
-		Rounds:   10,
-		Window:   5,
-		Seed:     1,
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("fault plan accepted on a non-range protocol")
 	}
 }

@@ -38,7 +38,7 @@ func drainAll(sub *obs.Subscription) []obs.Event {
 
 // TestObserverDeterminism is the golden observer test: attaching the
 // full observability stack — a broker with an all-kinds subscription,
-// per-shard windows, domain windows, OnWindow and OnLanes — must leave
+// per-shard windows, domain windows and OnWindow — must leave
 // the Result bit-for-bit identical to the unobserved run for every
 // worker count, and the fleet-level event stream (windows, domain
 // windows, recovery episodes) must itself be identical across worker
@@ -73,9 +73,8 @@ func TestObserverDeterminism(t *testing.T) {
 			broker := obs.NewBroker()
 			cfg.Obs = broker
 			sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 15})
-			var windowEnds, laneRounds []int
+			var windowEnds []int
 			cfg.OnWindow = func(w WindowStats) { windowEnds = append(windowEnds, w.End) }
-			cfg.OnLanes = func(round, _ int, _ []int64) { laneRounds = append(laneRounds, round) }
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("seed %d workers %d observed: %v", seed, workers, err)
@@ -100,11 +99,6 @@ func TestObserverDeterminism(t *testing.T) {
 			for i := 1; i < len(windowEnds); i++ {
 				if windowEnds[i] <= windowEnds[i-1] {
 					t.Fatalf("seed %d workers %d: OnWindow out of round order: %v", seed, workers, windowEnds)
-				}
-			}
-			for i := 1; i < len(laneRounds); i++ {
-				if laneRounds[i] <= laneRounds[i-1] {
-					t.Fatalf("seed %d workers %d: OnLanes out of round order: %v", seed, workers, laneRounds)
 				}
 			}
 

@@ -111,7 +111,7 @@ func checkEngineIsPaperRound(t *testing.T, name string, g *graph.Graph, p core.P
 		Workers:        workers,
 		OnRound: func(round int, s *core.State) {
 			if !static.Balanced() {
-				st := p.Step(static)
+				st := static.Step(p)
 				migrations += int64(st.Migrations)
 				moved += st.MovedWeight
 			}

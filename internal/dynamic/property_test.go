@@ -224,10 +224,10 @@ func TestPropertyNoTaskOnDownResource(t *testing.T) {
 
 // TestPropertyExchangeMatchesSequential feeds identical random move
 // sets through the parallel exchange (under a random shard partition)
-// and the sequential DeliverMigrations, starting from identically
-// constructed states: stacks, locations, loads and the folded stats
-// must agree bit for bit — the delivery layer's partition-invariance
-// property, randomised.
+// and a one-shard exchange — the batch a static round delivers —
+// starting from identically constructed states: stacks, locations,
+// loads and the folded stats must agree bit for bit — the delivery
+// layer's partition-invariance property, randomised.
 func TestPropertyExchangeMatchesSequential(t *testing.T) {
 	r := rng.NewSeeded(4242)
 	for trial := 0; trial < 20; trial++ {
@@ -294,7 +294,10 @@ func TestPropertyExchangeMatchesSequential(t *testing.T) {
 			x.DeliverShard(sa, j)
 		}
 		stA := x.Finish(sa, true)
-		stB := sb.DeliverMigrations(movesB)
+		one := core.NewExchange([]int{0, n})
+		one.Route(0, movesB)
+		one.DeliverShard(sb, 0)
+		stB := one.Finish(sb, true)
 
 		if stA != stB {
 			t.Fatalf("trial %d: stats diverge: exchange %+v vs sequential %+v", trial, stA, stB)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/task"
 )
 
@@ -240,51 +241,53 @@ func TestNilRehomeMatchesUniform(t *testing.T) {
 	}
 }
 
-// TestOnLanesTelemetry pins the exchange backpressure hook: with a
-// range-capable protocol every routed move — protocol migrations AND
-// churn evacuations — shows up in the lane matrix, the reports arrive
-// on the rebalance cadence, and enabling the hook does not change the
-// run.
+// TestOnLanesTelemetry pins the exchange backpressure telemetry: every
+// routed move — protocol migrations AND churn evacuations — shows up in
+// the KindLanes events' inbound totals, the reports arrive on the
+// rebalance cadence, and attaching the broker does not change the run.
 func TestOnLanesTelemetry(t *testing.T) {
-	build := func(hook func(int, int, []int64)) Config {
-		g := graph.Complete(120)
+	build := func() Config {
 		cfg := listEventConfig(120, 13, 4, nil)
-		cfg.Graph = g
 		cfg.RebalanceEvery = 30
-		cfg.OnLanes = hook
 		return cfg
 	}
-	ref, err := Run(build(nil))
+	ref, err := Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := build()
+	broker := obs.NewBroker()
+	cfg.Obs = broker
+	sub := broker.Subscribe(obs.SubOptions{Kinds: obs.Mask(obs.KindLanes), Capacity: 1 << 10})
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker.Close()
 	var total int64
-	reports := 0
-	res, err := Run(build(func(round, workers int, counts []int64) {
-		reports++
-		if round%30 != 0 {
-			t.Fatalf("lane report at round %d with period 30", round)
+	perRound := map[int]int{}
+	for _, ev := range drainAll(sub) {
+		if ev.Round%30 != 0 {
+			t.Fatalf("lane report at round %d with period 30", ev.Round)
 		}
-		if workers != 4 || len(counts) != 16 {
-			t.Fatalf("lane report shape: workers=%d len=%d", workers, len(counts))
+		if ev.Lane.Shard != perRound[ev.Round] || ev.Lane.Inbound < 0 {
+			t.Fatalf("round %d: lane event %+v out of shard order or negative", ev.Round, ev.Lane)
 		}
-		for _, c := range counts {
-			if c < 0 {
-				t.Fatalf("negative lane count in %v", counts)
-			}
-			total += c
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
+		perRound[ev.Round]++
+		total += ev.Lane.Inbound
 	}
-	if reports != 4 {
-		t.Fatalf("OnLanes fired %d times over 120 rounds at period 30", reports)
+	if len(perRound) != 4 {
+		t.Fatalf("lanes reported at %d rounds over 120 rounds at period 30", len(perRound))
+	}
+	for round, shards := range perRound {
+		if shards != 4 {
+			t.Fatalf("round %d: %d lane events for 4 shards", round, shards)
+		}
 	}
 	if want := res.Migrations + res.Rehomed; total != want {
 		t.Fatalf("lane counts sum to %d, want migrations+rehomed = %d", total, want)
 	}
 	if !reflect.DeepEqual(res, ref) {
-		t.Fatal("enabling OnLanes changed the run")
+		t.Fatal("attaching a lane subscription changed the run")
 	}
 }

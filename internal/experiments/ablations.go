@@ -47,7 +47,7 @@ func PotentialValidation(cfg Config) *Table {
 			if fr := s.AcceptFraction(); fr < minFrac {
 				minFrac = fr
 			}
-			p.Step(s)
+			s.Step(p)
 		}
 		return minFrac
 	}, cfg.Seed+10)
