@@ -165,9 +165,6 @@ func (p Mixed) Validate() error {
 	if p.Period < 1 {
 		return errors.New("core: Mixed requires Period >= 1")
 	}
-	if p.A == nil || p.B == nil {
-		return errors.New("core: Mixed requires both sub-protocols")
-	}
 	for _, sub := range []Protocol{p.A, p.B} {
 		if v, ok := sub.(interface{ Validate() error }); ok {
 			if err := v.Validate(); err != nil {
