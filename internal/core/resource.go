@@ -20,7 +20,8 @@ type Protocol interface {
 	// streams of [lo, hi), so any sharding of [0, n) produces the same
 	// move multiset as one sweep, and it is safe to call concurrently on
 	// disjoint ranges with distinct scratches. Callers settle LiveWMax
-	// first.
+	// first: the user protocols read it from every shard, and a dirty
+	// cache would turn those reads into racy writes.
 	ProposeRange(s *State, lo, hi int, sc *ProposeScratch)
 }
 
