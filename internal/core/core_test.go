@@ -460,7 +460,10 @@ func TestMigrationSortLargeMergePath(t *testing.T) {
 		checkAgainstRef(t, fmt.Sprintf("n=%d sawtooth", n), sawtooth)
 
 		random := mk(n, func(i int) int32 { return int32(r.Intn(7)) }, func(i int) int { return i })
-		r.Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
+		for i := len(random) - 1; i > 0; i-- { // Fisher–Yates
+			j := r.Intn(i + 1)
+			random[i], random[j] = random[j], random[i]
+		}
 		checkAgainstRef(t, fmt.Sprintf("n=%d random", n), random)
 	}
 }

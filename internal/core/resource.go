@@ -47,7 +47,7 @@ func (p ResourceControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratc
 			continue
 		}
 		sc.tasks = s.popOverflow(r, sc.tasks[:0])
-		rr := s.rands[r]
+		rr := &s.rands[r]
 		for _, tk := range sc.tasks {
 			dest := p.Kernel.Step(r, rr)
 			sc.Moves = append(sc.Moves, Migration{Task: tk, Dest: int32(dest)})
@@ -78,7 +78,7 @@ func (p ResourceControlledSingle) ProposeRange(s *State, lo, hi int, sc *Propose
 		}
 		sc.idx = append(sc.idx[:0], s.stacks[r].Len()-1)
 		sc.tasks = s.removeForMigration(r, sc.idx, sc.tasks[:0])
-		dest := p.Kernel.Step(r, s.rands[r])
+		dest := p.Kernel.Step(r, &s.rands[r])
 		sc.Moves = append(sc.Moves, Migration{Task: sc.tasks[0], Dest: int32(dest)})
 	}
 }

@@ -23,8 +23,8 @@ type State struct {
 	ts     *task.Set
 	stacks []stack.Stack
 	thr    []float64
-	loc    []int32 // task ID -> resource
-	rands  []*rng.Rand
+	loc    []int32    // task ID -> resource
+	rands  []rng.Rand // by value: take &s.rands[r], since a copy replays r's draws
 	round  int
 
 	// Incrementally maintained overload tracker: over[r] mirrors
@@ -83,7 +83,7 @@ func NewState(g *graph.Graph, ts *task.Set, placement []int, policy Thresholds, 
 		stacks: make([]stack.Stack, n),
 		thr:    policy.Values(ts, n),
 		loc:    make([]int32, ts.M()),
-		rands:  make([]*rng.Rand, n),
+		rands:  make([]rng.Rand, n),
 		over:   make([]bool, n),
 	}
 	if len(s.thr) != n {
@@ -96,8 +96,8 @@ func NewState(g *graph.Graph, ts *task.Set, placement []int, policy Thresholds, 
 		s.stacks[res].Push(ts.Task(id))
 		s.loc[id] = int32(res)
 	}
-	for r := 0; r < n; r++ {
-		s.rands[r] = rng.Stream(seed, uint64(r))
+	for r := range s.rands {
+		s.rands[r] = *rng.Stream(seed, uint64(r))
 	}
 	s.recountOverloaded()
 	s.liveWMax = ts.WMax()
@@ -181,7 +181,7 @@ func (s *State) Balanced() bool { return s.overCount.Load() == 0 }
 // drives service and protocol draws for r from this one stream in a
 // fixed per-round order, which is what keeps sharded execution
 // bit-identical to sequential execution.
-func (s *State) Rand(r int) *rng.Rand { return s.rands[r] }
+func (s *State) Rand(r int) *rng.Rand { return &s.rands[r] }
 
 // Loads returns a fresh copy of the load vector — the input for the
 // metrics package's imbalance measures.

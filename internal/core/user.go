@@ -81,7 +81,7 @@ func (p UserControlled) ProposeRange(s *State, lo, hi int, sc *ProposeScratch) {
 		if prob == 0 {
 			continue
 		}
-		rr := s.rands[r]
+		rr := &s.rands[r]
 		sc.idx = rr.AppendTrials(sc.idx[:0], s.stacks[r].Len(), prob)
 		if len(sc.idx) == 0 {
 			continue
@@ -134,7 +134,7 @@ func (p UserControlledGraph) ProposeRange(s *State, lo, hi int, sc *ProposeScrat
 		if prob == 0 || g.Degree(r) == 0 {
 			continue
 		}
-		rr := s.rands[r]
+		rr := &s.rands[r]
 		sc.idx = rr.AppendTrials(sc.idx[:0], s.stacks[r].Len(), prob)
 		if len(sc.idx) == 0 {
 			continue

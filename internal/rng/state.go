@@ -3,56 +3,27 @@ package rng
 import "fmt"
 
 // Generator state export/import for checkpoint/restore. A Rand's
-// position in its stream is 1–4 machine words plus a kind tag; the
-// fixed-size [4]uint64 word block keeps the checkpoint layout uniform
-// (and allocation-free) across generator kinds.
+// position in its stream is its four state words plus a kind tag; the
+// tag keeps snapshot files self-describing, so a checkpoint written by
+// another generator family fails to restore instead of resuming on the
+// wrong stream.
 
-// Generator kind tags, stable across releases — they are written into
-// snapshot files.
-const (
-	KindSplitMix64 uint8 = 1
-	KindXoshiro256 uint8 = 2
-	KindPCG32      uint8 = 3
-)
+// KindXoshiro256 is the kind tag of Rand's xoshiro256++ state, stable
+// across releases — it is written into snapshot files. (Tags 1 and 3
+// belonged to generators this package no longer has.)
+const KindXoshiro256 uint8 = 2
 
-// State exports the generator's kind tag and raw state words. Unused
-// words are zero.
+// State exports the generator's kind tag and raw state words.
 func (r *Rand) State() (kind uint8, words [4]uint64) {
-	switch src := r.src.(type) {
-	case *SplitMix64:
-		return KindSplitMix64, [4]uint64{src.state}
-	case *Xoshiro256:
-		return KindXoshiro256, src.s
-	case *PCG32:
-		return KindPCG32, [4]uint64{src.state, src.inc}
-	default:
-		panic(fmt.Sprintf("rng: cannot export state of %T", r.src))
-	}
+	return KindXoshiro256, [4]uint64{r.s0, r.s1, r.s2, r.s3}
 }
 
 // SetState replaces the generator's position with a previously
-// exported (kind, words) pair. The kind must match the receiver's
-// underlying generator — a checkpoint written with one generator
-// family cannot silently resume on another.
+// exported (kind, words) pair. The kind must be KindXoshiro256.
 func (r *Rand) SetState(kind uint8, words [4]uint64) error {
-	switch src := r.src.(type) {
-	case *SplitMix64:
-		if kind != KindSplitMix64 {
-			return fmt.Errorf("rng: state kind %d does not match SplitMix64 generator", kind)
-		}
-		src.state = words[0]
-	case *Xoshiro256:
-		if kind != KindXoshiro256 {
-			return fmt.Errorf("rng: state kind %d does not match Xoshiro256 generator", kind)
-		}
-		src.s = words
-	case *PCG32:
-		if kind != KindPCG32 {
-			return fmt.Errorf("rng: state kind %d does not match PCG32 generator", kind)
-		}
-		src.state, src.inc = words[0], words[1]
-	default:
-		return fmt.Errorf("rng: cannot restore state into %T", r.src)
+	if kind != KindXoshiro256 {
+		return fmt.Errorf("rng: state kind %d is not xoshiro256++ (kind %d)", kind, KindXoshiro256)
 	}
+	r.s0, r.s1, r.s2, r.s3 = words[0], words[1], words[2], words[3]
 	return nil
 }
