@@ -59,8 +59,8 @@ func (p Poisson) AppendNext(t int, r *rng.Rand, dst []float64) []float64 {
 
 // Validate implements the optional config check.
 func (p Poisson) Validate() error {
-	if p.Rate < 0 {
-		return fmt.Errorf("dynamic: Poisson.Rate %v must be >= 0", p.Rate)
+	if !(p.Rate >= 0 && p.Rate <= rng.MaxPoissonRate) {
+		return fmt.Errorf("dynamic: Poisson.Rate %v must be finite, >= 0 and at most %g", p.Rate, float64(rng.MaxPoissonRate))
 	}
 	if p.Weights == nil {
 		return errors.New("dynamic: Poisson.Weights is required")

@@ -385,12 +385,26 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Speeds = []float64{1, 1, math.Inf(1), 1} }, "must be positive"},
 		{func(c *Config) { c.Tuner = &SelfTuner{Eps: 0.5} }, "Kernel is required"},
 		{func(c *Config) { c.Tuner = &OracleTuner{Eps: 0} }, "OracleTuner.Eps"},
+		// Non-finite parameters fail up front too, instead of running
+		// with no arrivals or failing mid-run on a NaN weight.
+		{func(c *Config) { c.Arrivals = Poisson{Rate: math.NaN(), Weights: task.Uniform{W: 1}} }, "Poisson.Rate"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: math.Inf(1), Weights: task.Uniform{W: 1}} }, "Poisson.Rate"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: 1e30, Weights: task.Uniform{W: 1}} }, "Poisson.Rate"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.Pareto{Alpha: math.NaN(), Cap: 20}} }, "invalid weight distribution"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.Exponential{Mean: math.NaN()}} }, "invalid weight distribution"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.UniformRange{Lo: 1, Hi: math.NaN()}} }, "invalid weight distribution"},
+		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.UniformRange{Lo: math.NaN(), Hi: 2}} }, "invalid weight distribution"},
 	}
 	for _, cse := range cases {
 		cfg := good()
 		cse.mutate(&cfg)
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), cse.want) {
-			t.Fatalf("want error containing %q, got %v", cse.want, err)
+		_, errRun := Run(cfg)
+		_, errNew := NewEngine(cfg)
+		_, errResume := Resume(strings.NewReader(""), cfg)
+		for _, err := range []error{errRun, errNew, errResume} {
+			if err == nil || !strings.Contains(err.Error(), cse.want) {
+				t.Fatalf("want error containing %q, got %v", cse.want, err)
+			}
 		}
 	}
 

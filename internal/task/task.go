@@ -267,8 +267,8 @@ func (u Uniform) Weights(m int, r *rng.Rand) []float64 {
 
 // AppendWeights implements Appender.
 func (u Uniform) AppendWeights(dst []float64, m int, r *rng.Rand) []float64 {
-	if u.W < 1 {
-		panic("task: Uniform weight must be >= 1")
+	if !ValidWeight(u.W) {
+		panic("task: Uniform weight must be finite and >= 1")
 	}
 	for i := 0; i < m; i++ {
 		dst = append(dst, u.W)
@@ -295,8 +295,8 @@ func (t TwoPoint) Weights(m int, r *rng.Rand) []float64 {
 
 // AppendWeights implements Appender; the heavy tasks lead each batch.
 func (t TwoPoint) AppendWeights(dst []float64, m int, r *rng.Rand) []float64 {
-	if t.Heavy < 1 {
-		panic("task: TwoPoint heavy weight must be >= 1")
+	if !ValidWeight(t.Heavy) {
+		panic("task: TwoPoint heavy weight must be finite and >= 1")
 	}
 	if t.K < 0 {
 		panic("task: TwoPoint K must be >= 0")
@@ -324,8 +324,8 @@ func (u UniformRange) Weights(m int, r *rng.Rand) []float64 {
 
 // AppendWeights implements Appender.
 func (u UniformRange) AppendWeights(dst []float64, m int, r *rng.Rand) []float64 {
-	if u.Lo < 1 || u.Hi < u.Lo {
-		panic("task: UniformRange requires 1 <= Lo <= Hi")
+	if !ValidWeight(u.Lo) || !ValidWeight(u.Hi) || u.Hi < u.Lo {
+		panic("task: UniformRange requires 1 <= Lo <= Hi, both finite")
 	}
 	for i := 0; i < m; i++ {
 		dst = append(dst, u.Lo+(u.Hi-u.Lo)*r.Float64())
@@ -347,8 +347,8 @@ func (e Exponential) Weights(m int, r *rng.Rand) []float64 {
 
 // AppendWeights implements Appender.
 func (e Exponential) AppendWeights(dst []float64, m int, r *rng.Rand) []float64 {
-	if e.Mean < 1 {
-		panic("task: Exponential mean must be >= 1")
+	if !ValidWeight(e.Mean) {
+		panic("task: Exponential mean must be finite and >= 1")
 	}
 	for i := 0; i < m; i++ {
 		dst = append(dst, 1+(e.Mean-1)*r.ExpFloat64())
@@ -374,7 +374,7 @@ func (p Pareto) Weights(m int, r *rng.Rand) []float64 {
 
 // AppendWeights implements Appender.
 func (p Pareto) AppendWeights(dst []float64, m int, r *rng.Rand) []float64 {
-	if p.Alpha <= 0 {
+	if !(p.Alpha > 0) {
 		panic("task: Pareto alpha must be positive")
 	}
 	for i := 0; i < m; i++ {
