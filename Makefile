@@ -20,9 +20,10 @@ race:
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
 # parsers, the JSONL event-sink reader, the round-log codec against
 # encoding/json, the graph builder and the move-batch sort against
-# their references, and the delivery exchange against the sequential
-# delivery it replaced (mirrors the CI smoke job; go accepts one -fuzz
-# target per invocation).
+# their references, the delivery exchange against the sequential
+# delivery it replaced, and the integer migration coin against the
+# float coin it replaced (mirrors the CI smoke job; go accepts one
+# -fuzz target per invocation).
 fuzz:
 	for target in FuzzJSONL FuzzCSV; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/lineio || exit 1; \
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExchange$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendTrials$$' -fuzztime 30s ./internal/rng
 
 fmt:
 	gofmt -l .
