@@ -104,18 +104,14 @@ func HashFloat3(seed, a, b, c uint64) float64 {
 }
 
 // Uint64 returns the next 64 random bits. It loads the state into
-// locals and stores it back once, which keeps it under the compiler's
-// inlining budget, so a draw costs no call.
+// locals and stores it back once, which keeps it (and Float64 around
+// it) under the compiler's inlining budget, so a draw costs no call.
 func (r *Rand) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	out := bits.RotateLeft64(s0+s3, 23) + s0
-	t := s1 << 17
 	s2 ^= s0
 	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, bits.RotateLeft64(s3, 45)
+	r.s0, r.s1, r.s2, r.s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
 	return out
 }
 
@@ -186,13 +182,9 @@ func (r *Rand) AppendTrials(dst []int, n int, p float64) []int {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := 0; i < n; i++ {
 		u := bits.RotateLeft64(s0+s3, 23) + s0
-		t := s1 << 17
 		s2 ^= s0
 		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
+		s0, s1, s2, s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
 		if u>>11 < bound {
 			dst = append(dst, i)
 		}
