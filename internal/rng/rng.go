@@ -63,6 +63,8 @@ func Stream(seed, id uint64) *Rand {
 	return r
 }
 
+// seed and seedStream stay out of line (each is over the inlining
+// budget), which is what lets NewSeeded and Stream inline.
 func (r *Rand) seed(seed uint64) {
 	st := seed
 	r.s0 = splitmix64(&st)
@@ -157,9 +159,8 @@ func (r *Rand) Bool(p float64) bool {
 // AppendTrials runs n Bernoulli(p) trials and appends the indices of
 // the successes, in increasing order, to dst. It draws exactly what n
 // successive Bool(p) calls draw — nothing when p ≤ 0 or p ≥ 1, one
-// word per trial otherwise (a NaN p draws and never succeeds) — and
-// keeps each success, so a loop of Bool calls can be replaced without
-// shifting the stream.
+// word per trial otherwise (a NaN p draws and never succeeds) — so a
+// loop of Bool calls can be replaced without shifting the stream.
 func (r *Rand) AppendTrials(dst []int, n int, p float64) []int {
 	switch {
 	case p <= 0:
@@ -175,7 +176,7 @@ func (r *Rand) AppendTrials(dst []int, n int, p float64) []int {
 	// a real exactly when it is below the real's ceiling. A NaN p gets
 	// the bound 0, which no draw is below.
 	var bound uint64
-	if p == p {
+	if !math.IsNaN(p) {
 		bound = uint64(math.Ceil(p * (1 << 53)))
 	}
 	// Uint64's step, on words that stay in registers for the loop.
