@@ -9,8 +9,8 @@ import "fmt"
 // wrong stream.
 
 // KindXoshiro256 is the kind tag of Rand's xoshiro256++ state, stable
-// across releases — it is written into snapshot files. (Tags 1 and 3
-// belonged to generators this package no longer has.)
+// across releases — it is written into snapshot files. Tags 1 and 3
+// named retired generators; do not reuse them.
 const KindXoshiro256 uint8 = 2
 
 // State exports the generator's kind tag and raw state words.
