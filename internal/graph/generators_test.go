@@ -13,7 +13,9 @@ import (
 // referenceDigests holds csrDigest of every generatorCases graph as the
 // map-based builder (buildReference in graph_test.go) produced it, so
 // each generator's output, repeated input edges included, stays byte
-// for byte what it was.
+// for byte what it was. The three high-degree RandomRegular shapes
+// were recorded later, from the map-checked swap loop that
+// randomRegularReference keeps.
 var referenceDigests = map[string]uint64{
 	"complete(n=0)":                          0x5948278c5546e924,
 	"complete(n=1)":                          0x64ce18c1222ce6e0,
@@ -57,6 +59,9 @@ var referenceDigests = map[string]uint64{
 	"regular(n=10,d=3)":                      0x70bfc88348066094,
 	"regular(n=64,d=3)":                      0x0c4dcf9d3ac6d12d,
 	"regular(n=1000,d=16)":                   0x952dce6a5ee9f23e,
+	"regular(n=200,d=50)":                    0x2d4bc438a161971e,
+	"regular(n=300,d=99)":                    0x3026197e90e36bd2,
+	"regular(n=1000,d=64)":                   0x6846e1189a41d69f,
 	"cliquePendant(n=3,k=1)":                 0x63df9d3d5fab7cb8,
 	"cliquePendant(n=10,k=3)":                0xc7e0a98f03438d41,
 	"cliquePendant(n=10,k=9)":                0x4996431d27d6d254,
@@ -103,7 +108,8 @@ func TestGeneratorsMatchReference(t *testing.T) {
 }
 
 // generatorCases runs every generator at several sizes and seeds,
-// including the degenerate shapes: RandomRegular with d = n-1, grids
+// including the degenerate shapes: RandomRegular with d = n-1 and at
+// high and odd degree, grids
 // one or two wide, and cluster graphs whose random rack mates repeat
 // edges.
 func generatorCases() []func() *graph.Graph {
@@ -132,7 +138,8 @@ func generatorCases() []func() *graph.Graph {
 		func() *graph.Graph { return graph.ErdosRenyi(30, 0.2, seeded(1)) },
 		func() *graph.Graph { return graph.ErdosRenyi(60, 0.05, seeded(2)) },
 		func() *graph.Graph { return graph.ErdosRenyi(200, 0.1, seeded(3)) })
-	for _, nds := range [][3]int{{2, 1, 4}, {5, 0, 5}, {6, 5, 6}, {7, 6, 7}, {10, 3, 8}, {64, 3, 9}, {1000, 16, 10}} {
+	for _, nds := range [][3]int{{2, 1, 4}, {5, 0, 5}, {6, 5, 6}, {7, 6, 7}, {10, 3, 8}, {64, 3, 9}, {1000, 16, 10},
+		{200, 50, 11}, {300, 99, 12}, {1000, 64, 13}} {
 		cs = append(cs, func() *graph.Graph { return graph.RandomRegular(nds[0], nds[1], seeded(uint64(nds[2]))) })
 	}
 	for _, nk := range [][2]int{{3, 1}, {10, 3}, {10, 9}} {

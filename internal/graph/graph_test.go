@@ -403,6 +403,125 @@ func TestRandomRegularPanics(t *testing.T) {
 	RandomRegular(5, 3, r)
 }
 
+// completeReference is Complete as it was before it wrote CSR itself:
+// every pair u < v through Build.
+func completeReference(n int) *Graph {
+	edges := make([][2]int, 0, n*(n-1)/2)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	return Build(fmt.Sprintf("complete(n=%d)", n), n, edges)
+}
+
+// randomRegularReference is RandomRegular as it was when a Go map held
+// its edge set, kept verbatim (its fallback calls completeReference) as
+// the oracle that RandomRegular must match byte for byte.
+func randomRegularReference(n, d int, r *rng.Rand) *Graph {
+	if d < 0 || d >= n || (n*d)%2 != 0 {
+		panic("graph: RandomRegular requires 0 <= d < n and n*d even")
+	}
+	seen := make(map[[2]int]bool, n*d/2)
+	edges := make([][2]int, 0, n*d/2)
+	addEdge := func(u, v int) {
+		if u > v {
+			u, v = v, u
+		}
+		key := [2]int{u, v}
+		if u != v && !seen[key] {
+			seen[key] = true
+			edges = append(edges, key)
+		}
+	}
+	for v := 0; v < n; v++ {
+		for off := 1; off <= d/2; off++ {
+			addEdge(v, (v+off)%n)
+		}
+		if d%2 == 1 {
+			addEdge(v, (v+n/2)%n)
+		}
+	}
+	if len(edges) != n*d/2 {
+		if d == n-1 {
+			return completeReference(n)
+		}
+		panic(fmt.Sprintf("graph: circulant seed produced %d edges, want %d", len(edges), n*d/2))
+	}
+	swaps := 20 * len(edges)
+	for s := 0; s < swaps; s++ {
+		i := r.Intn(len(edges))
+		j := r.Intn(len(edges))
+		if i == j {
+			continue
+		}
+		a, b := edges[i][0], edges[i][1]
+		c, e := edges[j][0], edges[j][1]
+		if r.Bool(0.5) {
+			b, a = a, b
+		}
+		if a == c || b == e {
+			continue
+		}
+		n1 := [2]int{min(a, c), max(a, c)}
+		n2 := [2]int{min(b, e), max(b, e)}
+		if n1 == n2 || seen[n1] || seen[n2] {
+			continue
+		}
+		delete(seen, edges[i])
+		delete(seen, edges[j])
+		seen[n1] = true
+		seen[n2] = true
+		edges[i] = n1
+		edges[j] = n2
+	}
+	return Build(fmt.Sprintf("regular(n=%d,d=%d)", n, d), n, edges)
+}
+
+// sameGraph is sameCSR plus the settled connectivity.
+func sameGraph(got, want *Graph) error {
+	if err := sameCSR(got, want); err != nil {
+		return err
+	}
+	if got.connected != want.connected {
+		return fmt.Errorf("%s: connected=%v, want %v", want.Name(), got.connected, want.connected)
+	}
+	return nil
+}
+
+// TestCompleteMatchesReference holds Complete to the edge-list build.
+func TestCompleteMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 17, 64, 1000} {
+		if err := sameGraph(Complete(n), completeReference(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRandomRegularMatchesReference holds RandomRegular to the
+// map-checked loop over empty, odd-degree, complete (d = n-1) and
+// high-degree shapes, each from the same seed on both sides, and
+// requires both to leave the generator in the same state.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		n, d int
+		seed uint64
+	}{
+		{1, 0, 1}, {2, 0, 2}, {5, 0, 3}, {2, 1, 4}, {4, 3, 5}, {6, 5, 6}, {7, 6, 7},
+		{9, 8, 8}, {10, 3, 9}, {12, 5, 10}, {16, 4, 11}, {33, 2, 12}, {40, 39, 13},
+		{64, 3, 14}, {100, 7, 15}, {100, 50, 16}, {128, 1, 17}, {250, 33, 18},
+		{301, 100, 19}, {500, 16, 20},
+	} {
+		r, rr := rng.NewSeeded(tc.seed), rng.NewSeeded(tc.seed)
+		if err := sameGraph(RandomRegular(tc.n, tc.d, r), randomRegularReference(tc.n, tc.d, rr)); err != nil {
+			t.Fatalf("n=%d d=%d seed=%d: %v", tc.n, tc.d, tc.seed, err)
+		}
+		if r.Uint64() != rr.Uint64() {
+			t.Fatalf("n=%d d=%d seed=%d: generator left in a different state", tc.n, tc.d, tc.seed)
+		}
+	}
+}
+
 func TestCliquePendant(t *testing.T) {
 	g := CliquePendant(10, 3)
 	if g.N() != 10 {
