@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -26,7 +27,7 @@ type Graph struct {
 	name      string
 	off       []int32 // len N+1; neighbours of v are adj[off[v]:off[v+1]]
 	adj       []int32
-	connected bool // settled by Build, which every generator ends in
+	connected bool // settled at construction: by Build's BFS, or true for K_n
 }
 
 // Build constructs a Graph from an edge list over n vertices. Edges are
@@ -178,7 +179,8 @@ func (g *Graph) BFS(src int) []int {
 }
 
 // Connected reports whether the graph is connected (true for N ≤ 1,
-// the zero value included). Build settles it, so this is O(1).
+// the zero value included). It is settled at construction, so this is
+// O(1).
 func (g *Graph) Connected() bool { return g.connected || g.N() <= 1 }
 
 // Diameter returns the largest hop distance between any pair, or -1 if
@@ -232,15 +234,31 @@ func (g *Graph) IsBipartite() bool {
 // DegreeSum returns Σ_v deg(v) = 2·M.
 func (g *Graph) DegreeSum() int { return len(g.adj) }
 
-// Complete returns the complete graph K_n.
+// Complete returns the complete graph K_n. It writes the CSR arrays
+// directly: row v holds 0..n-1 without v, in ascending order, which is
+// what Build makes of every pair, and K_n is connected. It panics if
+// n·(n−1) overflows the int32 offsets, i.e. for n > 46341.
 func Complete(n int) *Graph {
-	edges := make([][2]int, 0, n*(n-1)/2)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			edges = append(edges, [2]int{u, v})
-		}
+	if n < 0 {
+		panic("graph: negative vertex count")
 	}
-	return Build(fmt.Sprintf("complete(n=%d)", n), n, edges)
+	if n > 1 && n-1 > math.MaxInt32/n {
+		panic(fmt.Sprintf("graph: complete(n=%d) has more than %d adjacency entries, the most int32 offsets hold", n, math.MaxInt32))
+	}
+	deg := max(n-1, 0)
+	off := make([]int32, n+1)
+	adj := make([]int32, n*deg)
+	for v := 0; v < n; v++ {
+		row := adj[v*deg : (v+1)*deg]
+		for w := 0; w < v; w++ {
+			row[w] = int32(w)
+		}
+		for w := v + 1; w < n; w++ {
+			row[w-1] = int32(w)
+		}
+		off[v+1] = int32((v + 1) * deg)
+	}
+	return &Graph{name: fmt.Sprintf("complete(n=%d)", n), off: off, adj: adj, connected: true}
 }
 
 // Cycle returns the n-cycle C_n (n ≥ 3).
@@ -352,43 +370,31 @@ func RandomRegular(n, d int, r *rng.Rand) *Graph {
 	if d < 0 || d >= n || (n*d)%2 != 0 {
 		panic("graph: RandomRegular requires 0 <= d < n and n*d even")
 	}
-	// Circulant seed: connect v to v±1, v±2, …, v±(d/2); if d is odd,
-	// n is even (n·d even), so also connect v to its antipode v+n/2.
-	seen := make(map[[2]int]bool, n*d/2)
-	edges := make([][2]int, 0, n*d/2)
-	addEdge := func(u, v int) {
-		if u > v {
-			u, v = v, u
-		}
-		key := [2]int{u, v}
-		if u != v && !seen[key] {
-			seen[key] = true
-			edges = append(edges, key)
-		}
-	}
+	// Circulant seed: connect v to v+1, …, v+d/2 (mod n); if d is odd,
+	// n is even (n·d even), so also connect each v < n/2 to its antipode
+	// v+n/2. These n·d/2 edges are distinct: two offsets up to
+	// d/2 < n/2 never add up to n, and neither equals n/2.
+	m := n * d / 2
+	edges := make([][2]int, 0, m)
+	seen := newEdgeSet(m)
 	for v := 0; v < n; v++ {
 		for off := 1; off <= d/2; off++ {
-			addEdge(v, (v+off)%n)
+			w := (v + off) % n
+			edges = append(edges, [2]int{min(v, w), max(v, w)})
 		}
-		if d%2 == 1 {
-			addEdge(v, (v+n/2)%n)
+		if d%2 == 1 && v < n/2 {
+			edges = append(edges, [2]int{v, v + n/2})
 		}
 	}
-	if len(edges) != n*d/2 {
-		// Happens only when offsets collide (e.g. d/2 ≥ n/2); such tiny
-		// cases (d ≥ n-1) are excluded by the d < n guard above except
-		// d = n-1, which is the complete graph.
-		if d == n-1 {
-			return Complete(n)
-		}
-		panic(fmt.Sprintf("graph: circulant seed produced %d edges, want %d", len(edges), n*d/2))
+	for _, e := range edges {
+		seen.add(edgeKey(e[0], e[1]))
 	}
 	// Double-edge swaps: pick edges (a,b),(c,d'), rewire to (a,c),(b,d')
 	// or (a,d'),(b,c) when the result stays simple.
-	swaps := 20 * len(edges)
+	swaps := 20 * m
 	for s := 0; s < swaps; s++ {
-		i := r.Intn(len(edges))
-		j := r.Intn(len(edges))
+		i := r.Intn(m)
+		j := r.Intn(m)
 		if i == j {
 			continue
 		}
@@ -403,13 +409,14 @@ func RandomRegular(n, d int, r *rng.Rand) *Graph {
 		}
 		n1 := [2]int{min(a, c), max(a, c)}
 		n2 := [2]int{min(b, e), max(b, e)}
-		if n1 == n2 || seen[n1] || seen[n2] {
+		k1, k2 := edgeKey(n1[0], n1[1]), edgeKey(n2[0], n2[1])
+		if k1 == k2 || seen.has(k1) || seen.has(k2) {
 			continue
 		}
-		delete(seen, edges[i])
-		delete(seen, edges[j])
-		seen[n1] = true
-		seen[n2] = true
+		seen.remove(edgeKey(edges[i][0], edges[i][1]))
+		seen.remove(edgeKey(edges[j][0], edges[j][1]))
+		seen.add(k1)
+		seen.add(k2)
 		edges[i] = n1
 		edges[j] = n2
 	}

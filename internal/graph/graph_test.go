@@ -2,8 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -495,6 +497,26 @@ func TestCompleteMatchesReference(t *testing.T) {
 		if err := sameGraph(Complete(n), completeReference(n)); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCompletePanicsBeforeAllocating requires Complete to refuse the
+// first n whose n·(n−1) adjacency entries overflow the int32 offsets,
+// and to do so before it allocates the 8.6 GB its arrays would take.
+func TestCompletePanicsBeforeAllocating(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		Complete(46342)
+		return ""
+	}()
+	runtime.ReadMemStats(&after)
+	if !strings.Contains(msg, "complete(n=46342)") || !strings.Contains(msg, "int32 offsets") {
+		t.Fatalf("Complete(46342) panicked with %q, want the int32 offset limit", msg)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Fatalf("Complete(46342) allocated %d bytes before panicking", grew)
 	}
 }
 
