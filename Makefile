@@ -20,7 +20,8 @@ race:
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
 # parsers, the JSONL event-sink reader, the round-log codec against
 # encoding/json, the graph builder and the move-batch sort against
-# their references, the delivery exchange against the sequential
+# their references, RandomRegular's open-addressing edge set against a
+# map, the delivery exchange against the sequential
 # delivery it replaced, and the integer migration coin against the
 # float coin it replaced (mirrors the CI smoke job; go accepts one
 # -fuzz target per invocation).
@@ -42,7 +43,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLog$$' -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundLogCodec$$' -fuzztime 30s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 30s ./internal/graph
+	for target in FuzzBuild FuzzEdgeSet; do \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/graph || exit 1; \
+	done
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExchange$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendTrials$$' -fuzztime 30s ./internal/rng
