@@ -632,9 +632,6 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 	if sc.Rounds <= 0 {
 		return dynamic.Config{}, errors.New("thresholdlb: DynamicScenario.Rounds must be > 0")
 	}
-	if sc.Epsilon < 0 {
-		return dynamic.Config{}, errors.New("thresholdlb: Epsilon must be non-negative")
-	}
 	eps := sc.Epsilon
 	if eps == 0 {
 		eps = 0.5
@@ -643,8 +640,8 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
-	if alpha < 0 {
-		return dynamic.Config{}, errors.New("thresholdlb: Alpha must be positive")
+	if err := checkEpsilonAlpha(eps, alpha); err != nil {
+		return dynamic.Config{}, err
 	}
 	for i, w := range sc.InitialWeights {
 		if !task.ValidWeight(w) {

@@ -54,7 +54,7 @@ func (p UserControlled) leaveProbability(s *State, r int) float64 {
 
 // Validate rejects a coin that never comes up: Alpha must be positive.
 func (p UserControlled) Validate() error {
-	if p.Alpha <= 0 {
+	if !(p.Alpha > 0) {
 		return errors.New("core: UserControlled requires Alpha > 0")
 	}
 	return nil
@@ -113,7 +113,7 @@ func (p UserControlledGraph) Name() string {
 
 // Validate rejects a coin that never comes up: Alpha must be positive.
 func (p UserControlledGraph) Validate() error {
-	if p.Alpha <= 0 {
+	if !(p.Alpha > 0) {
 		return errors.New("core: UserControlledGraph requires Alpha > 0")
 	}
 	return nil

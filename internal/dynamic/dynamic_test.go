@@ -394,6 +394,17 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.Exponential{Mean: math.NaN()}} }, "invalid weight distribution"},
 		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.UniformRange{Lo: 1, Hi: math.NaN()}} }, "invalid weight distribution"},
 		{func(c *Config) { c.Arrivals = Poisson{Rate: 1, Weights: task.UniformRange{Lo: math.NaN(), Hi: 2}} }, "invalid weight distribution"},
+		// A NaN service rate or probability would serve nothing, and a
+		// NaN slack or decay would never migrate.
+		{func(c *Config) { c.Service = WeightProportional{Rate: math.NaN()} }, "WeightProportional.Rate"},
+		{func(c *Config) { c.Service = Geometric{P: math.NaN()} }, "Geometric.P"},
+		{func(c *Config) { c.Tuner = &OracleTuner{Eps: math.NaN()} }, "OracleTuner.Eps"},
+		{func(c *Config) {
+			c.Tuner = &SelfTuner{Eps: math.NaN(), Kernel: walk.NewLazy(walk.NewMaxDegree(g))}
+		}, "SelfTuner.Eps"},
+		{func(c *Config) {
+			c.Tuner = &SelfTuner{Eps: 0.5, Decay: math.NaN(), Kernel: walk.NewLazy(walk.NewMaxDegree(g))}
+		}, "SelfTuner.Decay"},
 	}
 	for _, cse := range cases {
 		cfg := good()
@@ -417,6 +428,9 @@ func TestConfigValidation(t *testing.T) {
 		{core.UserControlled{Alpha: 0}, "UserControlled requires Alpha > 0"},
 		{core.UserControlled{Alpha: -1}, "UserControlled requires Alpha > 0"},
 		{core.UserControlledGraph{}, "UserControlledGraph requires Alpha > 0"},
+		{core.UserControlled{Alpha: math.NaN()}, "UserControlled requires Alpha > 0"},
+		{core.UserControlledGraph{Alpha: math.NaN()}, "UserControlledGraph requires Alpha > 0"},
+		{core.Mixed{A: core.UserControlled{Alpha: 1}, B: core.UserControlledGraph{Alpha: math.NaN()}, Period: 2}, "UserControlledGraph requires Alpha > 0"},
 		{core.Mixed{A: core.UserControlled{Alpha: 1}, B: core.UserControlled{Alpha: 1}}, "Mixed requires Period >= 1"},
 	}
 	for _, pc := range protos {

@@ -34,7 +34,7 @@ type WeightProportional struct {
 
 // Departures implements Service.
 func (s WeightProportional) Departures(st *stack.Stack, rem []float64, speed float64, r *rng.Rand, buf []int) []int {
-	if s.Rate <= 0 {
+	if !(s.Rate > 0) {
 		panic("dynamic: WeightProportional.Rate must be > 0")
 	}
 	budget := s.Rate * speed
@@ -54,7 +54,7 @@ func (s WeightProportional) Departures(st *stack.Stack, rem []float64, speed flo
 
 // Validate implements the optional config check.
 func (s WeightProportional) Validate() error {
-	if s.Rate <= 0 {
+	if !(s.Rate > 0) {
 		return fmt.Errorf("dynamic: WeightProportional.Rate %v must be > 0", s.Rate)
 	}
 	return nil
@@ -80,7 +80,7 @@ type Geometric struct {
 
 // Departures implements Service.
 func (g Geometric) Departures(st *stack.Stack, rem []float64, speed float64, r *rng.Rand, buf []int) []int {
-	if g.P <= 0 || g.P > 1 {
+	if !(g.P > 0 && g.P <= 1) {
 		panic("dynamic: Geometric.P must be in (0, 1]")
 	}
 	p := g.P
@@ -112,7 +112,7 @@ func powCompl(base, exp float64) float64 {
 
 // Validate implements the optional config check.
 func (g Geometric) Validate() error {
-	if g.P <= 0 || g.P > 1 {
+	if !(g.P > 0 && g.P <= 1) {
 		return fmt.Errorf("dynamic: Geometric.P %v must be in (0, 1]", g.P)
 	}
 	return nil

@@ -67,7 +67,7 @@ func (o *OracleTuner) SetSpeeds(speeds []float64) { o.speeds = speeds }
 
 // Refresh implements Tuner.
 func (o *OracleTuner) Refresh(round int, s *core.State, up *UpSet) []float64 {
-	if o.Eps <= 0 {
+	if !(o.Eps > 0) {
 		panic("dynamic: OracleTuner.Eps must be > 0")
 	}
 	every := o.Every
@@ -102,7 +102,7 @@ func (o *OracleTuner) Refresh(round int, s *core.State, up *UpSet) []float64 {
 
 // Validate implements the optional config check.
 func (o *OracleTuner) Validate() error {
-	if o.Eps <= 0 {
+	if !(o.Eps > 0) {
 		return fmt.Errorf("dynamic: OracleTuner.Eps %v must be > 0", o.Eps)
 	}
 	return nil
@@ -211,13 +211,13 @@ func (st *SelfTuner) Refresh(round int, s *core.State, up *UpSet) []float64 {
 // RefreshPooled implements PooledTuner. A nil pool runs the sweeps
 // inline; any pool produces bit-identical thresholds.
 func (st *SelfTuner) RefreshPooled(round int, s *core.State, up *UpSet, pool *par.Pool) []float64 {
-	if st.Eps <= 0 {
+	if !(st.Eps > 0) {
 		panic("dynamic: SelfTuner.Eps must be > 0")
 	}
 	if st.Kernel == nil {
 		panic("dynamic: SelfTuner.Kernel is required")
 	}
-	if st.Decay < 0 || st.Decay >= 1 {
+	if !(st.Decay >= 0 && st.Decay < 1) {
 		panic("dynamic: SelfTuner.Decay must be in [0,1)")
 	}
 	every := st.Every
@@ -375,11 +375,11 @@ func (st *SelfTuner) thresholdShard(i int) {
 // Validate implements the optional config check.
 func (st *SelfTuner) Validate() error {
 	switch {
-	case st.Eps <= 0:
+	case !(st.Eps > 0):
 		return fmt.Errorf("dynamic: SelfTuner.Eps %v must be > 0", st.Eps)
 	case st.Kernel == nil:
 		return errors.New("dynamic: SelfTuner.Kernel is required")
-	case st.Decay < 0 || st.Decay >= 1:
+	case !(st.Decay >= 0 && st.Decay < 1):
 		return fmt.Errorf("dynamic: SelfTuner.Decay %v must be in [0,1) (0 selects the default 0.8)", st.Decay)
 	}
 	return nil

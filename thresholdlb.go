@@ -33,6 +33,7 @@ package thresholdlb
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
@@ -231,11 +232,8 @@ func (sc Scenario) Run() (Result, error) {
 	if alpha == 0 {
 		alpha = 1
 	}
-	if alpha < 0 {
-		return Result{}, errors.New("thresholdlb: Alpha must be positive")
-	}
-	if sc.Epsilon < 0 {
-		return Result{}, errors.New("thresholdlb: Epsilon must be non-negative")
+	if err := checkEpsilonAlpha(sc.Epsilon, alpha); err != nil {
+		return Result{}, err
 	}
 
 	if err := sc.Protocol.checkWalkable(sc.Graph); err != nil {
@@ -317,6 +315,20 @@ type Imbalance = metrics.Snapshot
 // a load vector against a uniform threshold.
 func MeasureImbalance(loads []float64, threshold float64) Imbalance {
 	return metrics.Measure(loads, threshold)
+}
+
+// checkEpsilonAlpha rejects a threshold slack that is not finite and
+// ≥ 0 and a migration constant that is not finite and > 0. NaN fails
+// both: it would pass a plain ε < 0 or α < 0 test and then silently
+// pick the tight threshold or never migrate.
+func checkEpsilonAlpha(eps, alpha float64) error {
+	if !(eps >= 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("thresholdlb: Epsilon %v must be non-negative and finite", eps)
+	}
+	if !(alpha > 0) || math.IsInf(alpha, 1) {
+		return fmt.Errorf("thresholdlb: Alpha %v must be positive and finite", alpha)
+	}
+	return nil
 }
 
 func isComplete(g *Graph) bool {

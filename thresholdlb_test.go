@@ -2,6 +2,7 @@ package thresholdlb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,13 @@ func TestScenarioValidation(t *testing.T) {
 		{func(s *Scenario) { s.Placement = make([]int, 8); s.Placement[7] = -1 }, "invalid resource"},
 		{func(s *Scenario) { s.Alpha = -1 }, "Alpha"},
 		{func(s *Scenario) { s.Epsilon = -0.1 }, "Epsilon"},
+		// NaN would run the whole round cap without a move (α) or take
+		// the tight threshold (ε); an infinite value is no setting either.
+		{func(s *Scenario) { s.Alpha = math.NaN() }, "Alpha"},
+		{func(s *Scenario) { s.Alpha = math.Inf(1) }, "Alpha"},
+		{func(s *Scenario) { s.Epsilon = math.NaN() }, "Epsilon"},
+		{func(s *Scenario) { s.Epsilon = math.Inf(1) }, "Epsilon"},
+		{func(s *Scenario) { s.Protocol = UserBasedGraph; s.Alpha = math.NaN() }, "Alpha"},
 		{func(s *Scenario) { s.Protocol = UserBased; s.Graph = TorusGraph(2, 4) }, "complete graph"},
 		{func(s *Scenario) { s.Protocol = ProtocolKind(99) }, "unknown protocol"},
 		{func(s *Scenario) {
@@ -347,6 +355,11 @@ func TestDynamicScenarioValidation(t *testing.T) {
 		{func(s *DynamicScenario) { s.Rounds = 0 }, "Rounds"},
 		{func(s *DynamicScenario) { s.Epsilon = -1 }, "Epsilon"},
 		{func(s *DynamicScenario) { s.Alpha = -2 }, "Alpha"},
+		{func(s *DynamicScenario) { s.Epsilon = math.NaN() }, "Epsilon"},
+		{func(s *DynamicScenario) { s.Epsilon = math.Inf(1) }, "Epsilon"},
+		{func(s *DynamicScenario) { s.Epsilon = math.NaN(); s.OracleThresholds = true }, "Epsilon"},
+		{func(s *DynamicScenario) { s.Alpha = math.NaN() }, "Alpha"},
+		{func(s *DynamicScenario) { s.Alpha = math.Inf(1) }, "Alpha"},
 		{func(s *DynamicScenario) { s.Protocol = UserBased; s.Graph = TorusGraph(2, 4) }, "complete graph"},
 		{func(s *DynamicScenario) { s.Protocol = ProtocolKind(99) }, "unknown protocol"},
 		{func(s *DynamicScenario) { s.InitialWeights = []float64{0.2} }, "below 1"},
