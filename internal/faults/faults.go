@@ -96,7 +96,7 @@ func (p *Plan) Validate(n int) error {
 		return nil
 	}
 	for name, v := range map[string]float64{"Loss": p.Loss, "DelayProb": p.DelayProb, "DupProb": p.DupProb} {
-		if v < 0 || v >= 1 {
+		if !(v >= 0 && v < 1) {
 			return fmt.Errorf("faults: %s %v must be in [0,1)", name, v)
 		}
 	}

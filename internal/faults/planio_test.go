@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -159,6 +160,9 @@ func TestPlanValidate(t *testing.T) {
 	bad := []*Plan{
 		{Loss: 1},
 		{Loss: -0.1},
+		{Loss: math.NaN()},
+		{DelayProb: math.NaN(), DelayMax: 2},
+		{DupProb: math.NaN()},
 		{DelayProb: 0.5},
 		{DelayMax: -1},
 		{RetryBase: -1},

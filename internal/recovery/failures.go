@@ -71,7 +71,7 @@ func (m FailureModel) Validate() error {
 		return fmt.Errorf("recovery: FailureModel.FlapResources %d out of range [0, %d]", m.FlapResources, m.Topo.N())
 	}
 	if m.FlapResources > 0 {
-		if m.FlapMTBF <= 0 || m.FlapMTTR <= 0 {
+		if !(m.FlapMTBF > 0 && m.FlapMTTR > 0) {
 			return fmt.Errorf("recovery: FailureModel flap MTBF/MTTR must be positive (got %g/%g)", m.FlapMTBF, m.FlapMTTR)
 		}
 	}

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -23,6 +24,8 @@ func TestFailureModelValidate(t *testing.T) {
 		{"flap-no-times", FailureModel{Topo: topo, FlapResources: 3}, false},
 		{"flap-too-many", FailureModel{Topo: topo, FlapResources: 99, FlapMTBF: 2, FlapMTTR: 2}, false},
 		{"flap", FailureModel{Topo: topo, FlapResources: 3, FlapMTBF: 4, FlapMTTR: 2}, true},
+		{"flap-nan-mtbf", FailureModel{Topo: topo, FlapResources: 3, FlapMTBF: math.NaN(), FlapMTTR: 2}, false},
+		{"flap-nan-mttr", FailureModel{Topo: topo, FlapResources: 3, FlapMTBF: 4, FlapMTTR: math.NaN()}, false},
 		{"all", FailureModel{Topo: topo, RackMTBF: 100, RackMTTR: 10,
 			ResourceMTBF: 50, ResourceMTTR: 5, FlapResources: 2, FlapMTBF: 4, FlapMTTR: 2}, true},
 	}
