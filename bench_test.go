@@ -574,10 +574,11 @@ var graphSink *graph.Graph
 // BenchmarkGraphBuild builds the graphs the paper's experiments and
 // the engine benchmarks run on: K_1000 (Figure 1, lbserve's default),
 // the 32×32 torus (Theorem 3) and the 1000-node 16-regular expander.
-// One op is one generator call, its connectivity check included. The
-// allocs gates catch a map or a per-vertex sort coming back into Build,
-// an edge list coming back into Complete, which writes its CSR arrays
-// directly, and a Go map coming back into RandomRegular's swap loop.
+// One op is one generator call, with Build's connectivity BFS where the
+// generator goes through Build. The allocs gates catch a map or a
+// per-vertex sort coming back into Build, an edge list coming back
+// into Complete, which writes its CSR arrays directly, and a Go map
+// coming back into RandomRegular's swap loop.
 func BenchmarkGraphBuild(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
