@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -450,31 +451,126 @@ func TestEvolveDistRangeMatchesEvolveDist(t *testing.T) {
 	}
 }
 
-// TestEvolveDistRangePartitionInvariant pins the sharded-tuner
-// determinism contract: any partition of [0, n) into ranges must give
-// bit-identical output to the full-range call, for both the
-// constant-edge fast path and the general gather.
-func TestEvolveDistRangePartitionInvariant(t *testing.T) {
-	g := graph.CliquePendant(9, 4)
-	r := rng.NewSeeded(33)
-	dist := make([]float64, g.N())
-	for i := range dist {
-		dist[i] = 10 * r.Float64()
+// evolveReference is EvolveDistRange's gather written plainly: one add
+// per neighbour in CSR order, from a zero sum. It is the bit-for-bit
+// oracle the range kernels are held to.
+func evolveReference(k Kernel, dist, next []float64, lo, hi int) {
+	g := k.Graph()
+	n := g.N()
+	if len(dist) != n || len(next) != n {
+		panic("walk: EvolveDistRange dimension mismatch")
 	}
-	for _, k := range []Kernel{NewLazy(NewMaxDegree(g)), NewMetropolis(g)} {
-		whole := make([]float64, g.N())
-		EvolveDistRange(k, dist, whole, 0, g.N())
-		for _, cuts := range [][]int{{1}, {g.N() - 1}, {3, 7}, {2, 5, 9}} {
-			parts := make([]float64, g.N())
-			prev := 0
-			for _, c := range append(cuts, g.N()) {
-				EvolveDistRange(k, dist, parts, prev, c)
-				prev = c
+	if p, ok := edgeProb(k); ok {
+		// Uniform edge probability: row sums are 1, so
+		// P(v,v) = 1 − p·deg(v) and the whole update collapses to one
+		// constant-coefficient pass over the CSR row.
+		for v := lo; v < hi; v++ {
+			sum := 0.0
+			nb := g.Neighbors(v)
+			for _, w := range nb {
+				sum += dist[w]
 			}
-			for v := range whole {
-				if whole[v] != parts[v] {
-					t.Fatalf("%s cuts %v: vertex %d differs: %v vs %v", k.Name(), cuts, v, whole[v], parts[v])
+			next[v] = dist[v] + p*(sum-float64(len(nb))*dist[v])
+		}
+		return
+	}
+	for v := lo; v < hi; v++ {
+		acc := dist[v] * k.SelfProb(v)
+		for _, w := range g.Neighbors(v) {
+			acc += dist[w] * k.NeighborProb(v, int(w))
+		}
+		next[v] = acc
+	}
+}
+
+// evolveGraphs covers every row shape the gather meets: degree 0 (an
+// isolated vertex), degrees 1–3 (no full group of four), 4, 5–7 and
+// 8, 16 and more, on regular and irregular graphs.
+func evolveGraphs() []*graph.Graph {
+	// Vertex 9 is isolated; vertex 1 is a star centre of degree 7.
+	isolated := graph.Build("isolated", 10, [][2]int{
+		{1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 6}, {1, 7}, {1, 8},
+		{0, 2}, {2, 3}, {3, 4}, {4, 0},
+	})
+	return []*graph.Graph{
+		graph.CliquePendant(9, 4),
+		graph.Lollipop(6, 5),
+		graph.Cycle(11),
+		graph.Grid2D(32, 32, true),
+		graph.Complete(17),
+		graph.RandomRegular(1000, 16, rng.NewSeeded(34)),
+		isolated,
+	}
+}
+
+// evolveVector returns n finite values whose magnitudes span 2^±30 and
+// whose signs vary, so a sum taken in any other order rounds
+// differently somewhere.
+func evolveVector(r *rng.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Ldexp(r.Float64(), r.Intn(61)-30)
+		if r.Intn(4) == 0 {
+			x[i] = -x[i]
+		}
+	}
+	return x
+}
+
+// untouched marks output entries a range call must not write.
+var untouched = math.Float64frombits(0x7ff8_0000_dead_beef)
+
+func untouchedVector(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = untouched
+	}
+	return x
+}
+
+// sameBits fails unless got holds want's bits on [lo, hi) and the
+// untouched mark everywhere else.
+func sameBits(t *testing.T, what string, want, got []float64, lo, hi int) {
+	t.Helper()
+	for v := range got {
+		w := untouched
+		if v >= lo && v < hi {
+			w = want[v]
+		}
+		if math.Float64bits(got[v]) != math.Float64bits(w) {
+			t.Fatalf("%s [%d,%d): vertex %d is %v (%#x), want %v (%#x)",
+				what, lo, hi, v, got[v], math.Float64bits(got[v]), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestEvolveDistRangePartitionInvariant pins the sharded-tuner
+// determinism contract and the gather's arithmetic: on every graph of
+// evolveGraphs and every kernel, a call on [lo, hi) writes exactly
+// those entries, each equal to evolveReference's by Float64bits, so
+// any partition of [0, n) into ranges gives the full-range output.
+func TestEvolveDistRangePartitionInvariant(t *testing.T) {
+	r := rng.NewSeeded(33)
+	for _, g := range evolveGraphs() {
+		n := g.N()
+		x := evolveVector(r, n)
+		for _, k := range []Kernel{NewMaxDegree(g), NewLazy(NewMaxDegree(g)), NewMetropolis(g)} {
+			name := g.Name() + "/" + k.Name()
+			want := make([]float64, n)
+			evolveReference(k, x, want, 0, n)
+			for _, rg := range [][2]int{{0, n}, {0, 1}, {1, n - 1}, {n / 3, 2 * n / 3}, {n - 1, n}, {n / 2, n / 2}} {
+				got := untouchedVector(n)
+				EvolveDistRange(k, x, got, rg[0], rg[1])
+				sameBits(t, name, want, got, rg[0], rg[1])
+			}
+			for _, cuts := range [][]int{{1}, {n - 1}, {n / 3, 2 * n / 3}, {2, n / 2, n - 2}} {
+				got := untouchedVector(n)
+				prev := 0
+				for _, c := range append(cuts, n) {
+					EvolveDistRange(k, x, got, prev, c)
+					prev = c
 				}
+				sameBits(t, fmt.Sprintf("%s cuts %v", name, cuts), want, got, 0, n)
 			}
 		}
 	}
