@@ -487,8 +487,9 @@ type DynamicScenario struct {
 	OracleThresholds bool
 	// TunerDecay is the per-round EWMA decay of the load estimate
 	// (0 = default 0.8); TunerEvery the rounds between diffusion
-	// refreshes (0 = default 10); TunerSteps the diffusion steps per
-	// refresh (0 = default 8).
+	// refreshes (0 = default 10, every round under OracleThresholds);
+	// TunerSteps the diffusion steps per refresh (0 = default 8). A
+	// negative or NaN value is a config error.
 	TunerDecay float64
 	TunerEvery int
 	TunerSteps int
@@ -680,6 +681,14 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 		return dynamic.Config{}, fmt.Errorf("thresholdlb: unknown protocol %v", sc.Protocol)
 	}
 
+	switch {
+	case !(sc.TunerDecay >= 0):
+		return dynamic.Config{}, fmt.Errorf("thresholdlb: TunerDecay %v must be >= 0 (0 selects the default 0.8)", sc.TunerDecay)
+	case sc.TunerEvery < 0:
+		return dynamic.Config{}, fmt.Errorf("thresholdlb: TunerEvery %d must be >= 0 (0 selects the default)", sc.TunerEvery)
+	case sc.TunerSteps < 0:
+		return dynamic.Config{}, fmt.Errorf("thresholdlb: TunerSteps %d must be >= 0 (0 selects the default 8)", sc.TunerSteps)
+	}
 	var tuner dynamic.Tuner
 	if sc.OracleThresholds {
 		tuner = &dynamic.OracleTuner{Eps: eps, Every: sc.TunerEvery}

@@ -360,6 +360,12 @@ func TestDynamicScenarioValidation(t *testing.T) {
 		{func(s *DynamicScenario) { s.Epsilon = math.NaN(); s.OracleThresholds = true }, "Epsilon"},
 		{func(s *DynamicScenario) { s.Alpha = math.NaN() }, "Alpha"},
 		{func(s *DynamicScenario) { s.Alpha = math.Inf(1) }, "Alpha"},
+		{func(s *DynamicScenario) { s.TunerDecay = math.NaN() }, "TunerDecay"},
+		{func(s *DynamicScenario) { s.TunerDecay = -0.5 }, "TunerDecay"},
+		{func(s *DynamicScenario) { s.TunerDecay = math.Inf(-1) }, "TunerDecay"},
+		{func(s *DynamicScenario) { s.TunerEvery = -3 }, "TunerEvery"},
+		{func(s *DynamicScenario) { s.TunerEvery = -3; s.OracleThresholds = true }, "TunerEvery"},
+		{func(s *DynamicScenario) { s.TunerSteps = -1 }, "TunerSteps"},
 		{func(s *DynamicScenario) { s.Protocol = UserBased; s.Graph = TorusGraph(2, 4) }, "complete graph"},
 		{func(s *DynamicScenario) { s.Protocol = ProtocolKind(99) }, "unknown protocol"},
 		{func(s *DynamicScenario) { s.InitialWeights = []float64{0.2} }, "below 1"},
