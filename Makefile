@@ -21,7 +21,8 @@ race:
 # parsers, the JSONL event-sink reader, the round-log codec against
 # encoding/json, the graph builder and the move-batch sort against
 # their references, RandomRegular's open-addressing edge set against a
-# map, the delivery exchange against the sequential
+# map, the diffusion kernels against their plain reference gather, the
+# delivery exchange against the sequential
 # delivery it replaced, and the integer migration coin against the
 # float coin it replaced (mirrors the CI smoke job; go accepts one
 # -fuzz target per invocation).
@@ -46,6 +47,7 @@ fuzz:
 	for target in FuzzBuild FuzzEdgeSet; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/graph || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzEvolve$$' -fuzztime 30s ./internal/walk
 	$(GO) test -run '^$$' -fuzz '^FuzzSortMigrations$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzExchange$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendTrials$$' -fuzztime 30s ./internal/rng

@@ -334,12 +334,16 @@ func (st *SelfTuner) decayShard(i int) {
 	}
 }
 
+// diffuseShard advances shard i's rows one diffusion step; the
+// companion, when it diffuses, shares the estimate's pass over each
+// adjacency row.
 func (st *SelfTuner) diffuseShard(i int) {
 	lo, hi := st.shardRange(i)
-	walk.EvolveDistRange(st.Kernel, st.src, st.dst, lo, hi)
 	if st.diffuseUp {
-		walk.EvolveDistRange(st.Kernel, st.srcU, st.dstU, lo, hi)
+		walk.EvolvePairRange(st.Kernel, st.src, st.dst, st.srcU, st.dstU, lo, hi)
+		return
 	}
+	walk.EvolveDistRange(st.Kernel, st.src, st.dst, lo, hi)
 }
 
 func (st *SelfTuner) thresholdShard(i int) {

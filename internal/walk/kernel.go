@@ -199,14 +199,20 @@ func EvolveDistRange(k Kernel, dist, next []float64, lo, hi int) {
 	if p, ok := edgeProb(k); ok {
 		// Uniform edge probability: row sums are 1, so
 		// P(v,v) = 1 − p·deg(v) and the whole update collapses to one
-		// constant-coefficient pass over the CSR row.
+		// constant-coefficient pass over the CSR row. The row sum is
+		// unrolled by four but adds one neighbour at a time in CSR
+		// order, so it rounds exactly as a plain loop does.
 		for v := lo; v < hi; v++ {
-			sum := 0.0
 			nb := g.Neighbors(v)
+			deg := float64(len(nb))
+			sum := 0.0
+			for ; len(nb) >= 4; nb = nb[4:] {
+				sum = sum + dist[nb[0]] + dist[nb[1]] + dist[nb[2]] + dist[nb[3]]
+			}
 			for _, w := range nb {
 				sum += dist[w]
 			}
-			next[v] = dist[v] + p*(sum-float64(len(nb))*dist[v])
+			next[v] = dist[v] + p*(sum-deg*dist[v])
 		}
 		return
 	}
@@ -216,6 +222,41 @@ func EvolveDistRange(k Kernel, dist, next []float64, lo, hi int) {
 			acc += dist[w] * k.NeighborProb(v, int(w))
 		}
 		next[v] = acc
+	}
+}
+
+// EvolvePairRange advances two vectors over [lo, hi) at once:
+// nx = x · P and ny = y · P, each entry bit-identical to what
+// EvolveDistRange writes for that vector alone. Under a uniform edge
+// probability one pass reads each CSR row once for both sums, and the
+// two independent add chains overlap; other kernels run as two
+// EvolveDistRange calls. The four slices must be distinct.
+func EvolvePairRange(k Kernel, x, nx, y, ny []float64, lo, hi int) {
+	g := k.Graph()
+	n := g.N()
+	if len(x) != n || len(nx) != n || len(y) != n || len(ny) != n {
+		panic("walk: EvolvePairRange dimension mismatch")
+	}
+	p, ok := edgeProb(k)
+	if !ok {
+		EvolveDistRange(k, x, nx, lo, hi)
+		EvolveDistRange(k, y, ny, lo, hi)
+		return
+	}
+	for v := lo; v < hi; v++ {
+		nb := g.Neighbors(v)
+		deg := float64(len(nb))
+		sx, sy := 0.0, 0.0
+		for ; len(nb) >= 4; nb = nb[4:] {
+			sx = sx + x[nb[0]] + x[nb[1]] + x[nb[2]] + x[nb[3]]
+			sy = sy + y[nb[0]] + y[nb[1]] + y[nb[2]] + y[nb[3]]
+		}
+		for _, w := range nb {
+			sx += x[w]
+			sy += y[w]
+		}
+		nx[v] = x[v] + p*(sx-deg*x[v])
+		ny[v] = y[v] + p*(sy-deg*y[v])
 	}
 }
 

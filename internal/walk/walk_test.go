@@ -549,31 +549,145 @@ func sameBits(t *testing.T, what string, want, got []float64, lo, hi int) {
 // evolveGraphs and every kernel, a call on [lo, hi) writes exactly
 // those entries, each equal to evolveReference's by Float64bits, so
 // any partition of [0, n) into ranges gives the full-range output.
+// EvolvePairRange is held to the same reference on each of its two
+// vectors.
 func TestEvolveDistRangePartitionInvariant(t *testing.T) {
 	r := rng.NewSeeded(33)
 	for _, g := range evolveGraphs() {
 		n := g.N()
-		x := evolveVector(r, n)
+		x, y := evolveVector(r, n), evolveVector(r, n)
 		for _, k := range []Kernel{NewMaxDegree(g), NewLazy(NewMaxDegree(g)), NewMetropolis(g)} {
 			name := g.Name() + "/" + k.Name()
-			want := make([]float64, n)
-			evolveReference(k, x, want, 0, n)
+			wantX, wantY := make([]float64, n), make([]float64, n)
+			evolveReference(k, x, wantX, 0, n)
+			evolveReference(k, y, wantY, 0, n)
 			for _, rg := range [][2]int{{0, n}, {0, 1}, {1, n - 1}, {n / 3, 2 * n / 3}, {n - 1, n}, {n / 2, n / 2}} {
 				got := untouchedVector(n)
 				EvolveDistRange(k, x, got, rg[0], rg[1])
-				sameBits(t, name, want, got, rg[0], rg[1])
+				sameBits(t, name, wantX, got, rg[0], rg[1])
+				gotX, gotY := untouchedVector(n), untouchedVector(n)
+				EvolvePairRange(k, x, gotX, y, gotY, rg[0], rg[1])
+				sameBits(t, name+" pair x", wantX, gotX, rg[0], rg[1])
+				sameBits(t, name+" pair y", wantY, gotY, rg[0], rg[1])
 			}
 			for _, cuts := range [][]int{{1}, {n - 1}, {n / 3, 2 * n / 3}, {2, n / 2, n - 2}} {
 				got := untouchedVector(n)
+				gotX, gotY := untouchedVector(n), untouchedVector(n)
 				prev := 0
 				for _, c := range append(cuts, n) {
 					EvolveDistRange(k, x, got, prev, c)
+					EvolvePairRange(k, x, gotX, y, gotY, prev, c)
 					prev = c
 				}
-				sameBits(t, fmt.Sprintf("%s cuts %v", name, cuts), want, got, 0, n)
+				what := fmt.Sprintf("%s cuts %v", name, cuts)
+				sameBits(t, what, wantX, got, 0, n)
+				sameBits(t, what+" pair x", wantX, gotX, 0, n)
+				sameBits(t, what+" pair y", wantY, gotY, 0, n)
 			}
 		}
 	}
+}
+
+// decodeEvolve reads a FuzzEvolve input: byte 0 picks n in [1, 64],
+// byte 1 the kernel, bytes 2–3 the range, byte 4 the edge count e, the
+// next 2e bytes the edges (mod n; loops and repeats are Build's to
+// drop), and the rest, four bytes a value and cycled when short, the
+// two vectors: a signed 24-bit mantissa scaled by 2^(b mod 128 − 64),
+// so every value is finite and sums of them round. It returns a nil
+// kernel when the graph has no edge.
+func decodeEvolve(data []byte) (k Kernel, x, y []float64, lo, hi int) {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	n := at(0)%64 + 1
+	lo, hi = at(2)%(n+1), at(3)%(n+1)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	e := at(4)
+	edges := make([][2]int, 0, e)
+	for i := 0; i < e; i++ {
+		edges = append(edges, [2]int{at(5+2*i) % n, at(6+2*i) % n})
+	}
+	g := graph.Build("fuzz", n, edges)
+	if g.MaxDegree() == 0 {
+		return nil, nil, nil, 0, 0
+	}
+	switch at(1) % 3 {
+	case 0:
+		k = NewMaxDegree(g)
+	case 1:
+		k = NewLazy(NewMaxDegree(g))
+	default:
+		k = NewMetropolis(g)
+	}
+	vals := data[min(5+2*e, len(data)):]
+	value := func(i int) float64 {
+		if len(vals) < 4 {
+			return 0
+		}
+		b := vals[4*i%(len(vals)-len(vals)%4):]
+		m := int32(uint32(b[1])<<24|uint32(b[2])<<16|uint32(b[3])<<8) >> 8
+		return math.Ldexp(float64(m), int(b[0]%128)-64)
+	}
+	x, y = make([]float64, n), make([]float64, n)
+	for v := 0; v < n; v++ {
+		x[v], y[v] = value(v), value(n+v)
+	}
+	return k, x, y, lo, hi
+}
+
+// fuzzEvolveSeed builds a FuzzEvolve input with random vectors over the
+// given edges, so the seeds exercise rounding from the start.
+func fuzzEvolveSeed(seed uint64, n, kernel, lo, hi int, edges [][2]int) []byte {
+	data := []byte{byte(n - 1), byte(kernel), byte(lo), byte(hi), byte(len(edges))}
+	for _, e := range edges {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	r := rng.NewSeeded(seed)
+	for i := 0; i < 8*n; i++ {
+		data = append(data, byte(r.Uint64()))
+	}
+	return data
+}
+
+// FuzzEvolve holds EvolveDistRange and both vectors of EvolvePairRange
+// to evolveReference by Float64bits on graphs of up to 64 vertices,
+// under every kernel and on any range, with every entry outside the
+// range left untouched.
+func FuzzEvolve(f *testing.F) {
+	star := [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {1, 2}, {2, 3}}
+	var dense [][2]int
+	for u := 0; u < 11; u++ {
+		for v := u + 1; v < 11; v++ {
+			dense = append(dense, [2]int{u, v})
+		}
+	}
+	for kernel := 0; kernel < 3; kernel++ {
+		f.Add(fuzzEvolveSeed(uint64(kernel+1), 9, kernel, 0, 9, star))
+		f.Add(fuzzEvolveSeed(uint64(kernel+4), 12, kernel, 2, 11, dense))
+	}
+	f.Add([]byte{3, 0, 0, 4, 2, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, x, y, lo, hi := decodeEvolve(data)
+		if k == nil {
+			return
+		}
+		n := len(x)
+		wantX, wantY := make([]float64, n), make([]float64, n)
+		evolveReference(k, x, wantX, 0, n)
+		evolveReference(k, y, wantY, 0, n)
+		got := untouchedVector(n)
+		EvolveDistRange(k, x, got, lo, hi)
+		sameBits(t, k.Name(), wantX, got, lo, hi)
+		gotX, gotY := untouchedVector(n), untouchedVector(n)
+		EvolvePairRange(k, x, gotX, y, gotY, lo, hi)
+		sameBits(t, k.Name()+" pair x", wantX, gotX, lo, hi)
+		sameBits(t, k.Name()+" pair y", wantY, gotY, lo, hi)
+	})
 }
 
 // TestEdgeProb pins the fast-path coefficients the sharded diffusion
