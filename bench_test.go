@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -386,12 +387,19 @@ func BenchmarkDynamicRoundTraced(b *testing.B) {
 	}
 }
 
+// graph100k is BenchmarkDynamicRound100k's expander, built once per
+// test process: go calls a benchmark function at b.N = 1 and again at
+// the predicted N, and each build takes seconds.
+var graph100k = sync.OnceValue(func() *graph.Graph {
+	return graph.RandomRegular(100_000, 16, newBenchRand())
+})
+
 // BenchmarkDynamicRound100k: the n = 10⁵ regime of Goldsztajn et al.
 // that the sequential engine could not reach practically — a 16-regular
 // expander with 100000 resources, ~41000 arrivals per round, sharded
 // across GOMAXPROCS workers.
 func BenchmarkDynamicRound100k(b *testing.B) {
-	g := graph.RandomRegular(100_000, 16, newBenchRand())
+	g := graph100k()
 	benchDynamicRound(b, g, core.ResourceControlled{Kernel: walk.NewLazy(walk.NewMaxDegree(g))}, 0)
 }
 
@@ -566,6 +574,39 @@ func BenchmarkMixingTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		walk.MixingTimeTV(k, []int{0}, walk.DefaultMixingEps, 10_000_000)
 	}
+}
+
+// BenchmarkDiffuse times one full diffusion step of the self-tuner's
+// refresh on the (1000, 16) expander the sim and serve workloads run,
+// under the lazy max-degree kernel the tuner uses: single advances the
+// load estimate alone (walk.EvolveDistRange), pair the estimate and its
+// up-mass companion in one pass (walk.EvolvePairRange), as a refresh
+// does once a resource has been down or speeds are set. The graph is
+// built outside the timer; one op is one step over all 1000 rows. The
+// allocs gate of 0 catches a per-call buffer coming into the kernel.
+func BenchmarkDiffuse(b *testing.B) {
+	g := graph.RandomRegular(1000, 16, newBenchRand())
+	k := walk.NewLazy(walk.NewMaxDegree(g))
+	r := newBenchRand()
+	n := g.N()
+	x, nx := make([]float64, n), make([]float64, n)
+	y, ny := make([]float64, n), make([]float64, n)
+	for v := range x {
+		x[v] = 20 * r.Float64()
+		y[v] = r.Float64()
+	}
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			walk.EvolveDistRange(k, x, nx, 0, n)
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			walk.EvolvePairRange(k, x, nx, y, ny, 0, n)
+		}
+	})
 }
 
 // graphSink keeps BenchmarkGraphBuild's builds from being optimised away.

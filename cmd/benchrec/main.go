@@ -1,6 +1,7 @@
 // Command benchrec records the perf trajectory of the hot paths: it
 // runs the micro-benchmarks — dynamic and static rounds, the delivery exchange,
-// mass-failure churn, graph building, the round log's read and append — with
+// mass-failure churn, graph building, the self-tuner's diffusion step, the
+// round log's read and append — with
 // -benchmem, parses the results into a JSON report (committed as
 // BENCH_dynamic.json), and compares
 // them against a committed baseline (BENCH_baseline.json: the
@@ -64,7 +65,7 @@ var benchLine = regexp.MustCompile(
 
 func main() {
 	var (
-		bench      = flag.String("bench", "BenchmarkDynamicRound|BenchmarkDeliver|BenchmarkMassChurn|BenchmarkRackLossRecover|BenchmarkCheckpoint|BenchmarkResume|BenchmarkLiveIngest|BenchmarkGraphBuild|BenchmarkResourceControlledRound|BenchmarkUserControlledRound|BenchmarkFullUserRun|BenchmarkReadRoundLog|BenchmarkAppendRecord", "benchmark regex passed to go test -bench")
+		bench      = flag.String("bench", "BenchmarkDynamicRound|BenchmarkDeliver|BenchmarkMassChurn|BenchmarkRackLossRecover|BenchmarkCheckpoint|BenchmarkResume|BenchmarkLiveIngest|BenchmarkGraphBuild|BenchmarkDiffuse$|BenchmarkResourceControlledRound|BenchmarkUserControlledRound|BenchmarkFullUserRun|BenchmarkReadRoundLog|BenchmarkAppendRecord", "benchmark regex passed to go test -bench")
 		benchtime  = flag.String("benchtime", "1s", "go test -benchtime value")
 		pkg        = flag.String("pkg", ".", "package to benchmark")
 		out        = flag.String("out", "BENCH_dynamic.json", "JSON report to write (empty = don't write)")
