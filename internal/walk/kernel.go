@@ -159,9 +159,9 @@ func (k *Metropolis) Name() string { return "metropolis" }
 
 // EdgeUniform is implemented by kernels whose off-diagonal transition
 // probability is one constant p for every edge (MaxDegree and its lazy
-// wrapper). EvolveDistRange uses it to replace two interface calls per
-// edge with a fused constant-coefficient gather — the diffusion hot
-// path of the open-system self-tuner.
+// wrapper). EvolveDistRange and EvolvePairRange use it to replace two
+// interface calls per edge with a fused constant-coefficient gather —
+// the diffusion hot path of the open-system self-tuner.
 type EdgeUniform interface {
 	// EdgeProb returns (p, true) when P(v→w) = p for every edge {v,w},
 	// or (0, false) when the edge probabilities vary.

@@ -483,9 +483,10 @@ func evolveReference(k Kernel, dist, next []float64, lo, hi int) {
 	}
 }
 
-// evolveGraphs covers every row shape the gather meets: degree 0 (an
-// isolated vertex), degrees 1–3 (no full group of four), 4, 5–7 and
-// 8, 16 and more, on regular and irregular graphs.
+// evolveGraphs covers every row shape the unrolled gather meets:
+// degree 0 (an isolated vertex), 1–3 (no group of four), 4, 8 and 16
+// (no tail) and 5–7 (a group and a tail), on regular and irregular
+// graphs.
 func evolveGraphs() []*graph.Graph {
 	// Vertex 9 is isolated; vertex 1 is a star centre of degree 7.
 	isolated := graph.Build("isolated", 10, [][2]int{
@@ -591,10 +592,10 @@ func TestEvolveDistRangePartitionInvariant(t *testing.T) {
 // decodeEvolve reads a FuzzEvolve input: byte 0 picks n in [1, 64],
 // byte 1 the kernel, bytes 2–3 the range, byte 4 the edge count e, the
 // next 2e bytes the edges (mod n; loops and repeats are Build's to
-// drop), and the rest, four bytes a value and cycled when short, the
-// two vectors: a signed 24-bit mantissa scaled by 2^(b mod 128 − 64),
-// so every value is finite and sums of them round. It returns a nil
-// kernel when the graph has no edge.
+// drop), and the rest, four bytes a value, cycled when short and all
+// zero below four bytes, the two vectors: a signed 24-bit mantissa
+// scaled by 2^(b mod 128 − 64), so every value is finite and sums of
+// them round. It returns a nil kernel when the graph has no edge.
 func decodeEvolve(data []byte) (k Kernel, x, y []float64, lo, hi int) {
 	at := func(i int) int {
 		if i < len(data) {
