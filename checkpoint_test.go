@@ -2,7 +2,10 @@ package thresholdlb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -151,5 +154,171 @@ func TestManualEngineSnapshotFile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, ref) {
 		t.Fatalf("resumed-from-round-0 Result differs from plain Run:\n%+v\nvs\n%+v", res, ref)
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint format byte for byte.
+// For each scenario it hashes every cadence checkpoint of a full run,
+// a checkpoint taken by Engine before the first round, and every
+// checkpoint a run resumed from the middle cadence checkpoint writes;
+// the resumed run must also finish with the full run's Result. The
+// table reaches every section: meta, rng, tasks with initial weights,
+// state, ups with a reachable set, quar, inj with loss, delay and
+// duplication, tuner with and without speeds (and none under oracle
+// thresholds), rehome, alerts, trace and a result holding recovery
+// episodes and windows.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const n = 64
+	topo, err := SynthTopology(n, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speeds := make([]float64, n)
+	for i := range speeds {
+		speeds[i] = 1 + float64(i%4)
+	}
+	initial := ParetoWeights(90, 2, 20, 3)
+	var rack1 []int
+	for _, r := range topo.RackMembers(1) {
+		rack1 = append(rack1, int(r))
+	}
+	cases := []struct {
+		name   string
+		build  func() DynamicScenario
+		digest string
+	}{
+		{"oracle-initial-churn", func() DynamicScenario {
+			return DynamicScenario{
+				Graph:            CompleteGraph(n),
+				Protocol:         UserBased,
+				OracleThresholds: true,
+				Rounds:           60,
+				Window:           15,
+				Arrivals:         PoissonArrivals(0.8*n/1.95, ParetoDist(2, 20)),
+				Service:          WeightProportionalService(1),
+				Seed:             5101,
+				Workers:          2,
+				Churn: ChurnSpec{LeaveProb: 0.2, JoinProb: 0.2, MinUp: n / 2,
+					Events: []ChurnEvent{{Round: 15, Every: 20, Down: 6}}},
+				InitialWeights: initial,
+			}
+		}, "4a69405c49be2b5721f88995dcec0a7c2801720df961e9f2f901fa720f963a58"},
+		{"faults-partition-quarantine", func() DynamicScenario {
+			return DynamicScenario{
+				Graph:    ExpanderGraph(n, 6, 5102),
+				Protocol: ResourceBased,
+				LazyWalk: true,
+				Rounds:   80,
+				Window:   20,
+				Arrivals: PoissonArrivals(0.8*n/1.95, ParetoDist(2, 20)),
+				Service:  WeightProportionalService(1),
+				Seed:     5103,
+				Workers:  3,
+				Churn: ChurnSpec{LeaveProb: 0.4, JoinProb: 0.4, MinUp: n / 2,
+					Events: []ChurnEvent{{Round: 10, Every: 30, Down: 5}}},
+				Faults: &FaultPlan{
+					Loss: 0.1, DelayProb: 0.2, DelayMax: 4, DupProb: 0.05,
+					RetryBase: 1, RetryCap: 4, Timeout: 10,
+					Partitions: []FaultPartition{PartitionRack(topo, 2, 20, 60)},
+				},
+				Quarantine: QuarantineSpec{Flaps: 2, Window: 20, Cooloff: 10},
+			}
+		}, "56dfb7d02296c5fac46ac4cc3b0be1f8778561a875a58a63fafdd064707e5d4d"},
+		{"locality-alerts-speeds-trace", func() DynamicScenario {
+			return DynamicScenario{
+				Graph:    CompleteGraph(n),
+				Speeds:   speeds,
+				Protocol: UserBased,
+				Rounds:   80,
+				Window:   20,
+				Arrivals: PoissonArrivals(0.7*2.5*n/1.95, ParetoDist(2, 20)),
+				Service:  WeightProportionalService(1),
+				Seed:     5104,
+				Workers:  2,
+				Churn: ChurnSpec{LeaveProb: 0.1, JoinProb: 0.2, MinUp: n / 2,
+					Events: []ChurnEvent{{Round: 30, DownList: rack1}}},
+				Rehome:       LocalityRehome(topo),
+				Domains:      ObsDomains(topo),
+				AlertBudget:  0.1,
+				AlertWindows: 1,
+				Faults:       &FaultPlan{Loss: 0.05, DelayProb: 0.1, DelayMax: 3, Timeout: 8},
+				TraceSample:  0.5,
+				Obs:          NewObsBroker(),
+			}
+		}, "394d348b7a0a51b713a05fd8b2c115be69bcdba61b5289258986f4344b3681ab"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := sha256.New()
+			add := func(round int, data []byte) {
+				fmt.Fprintf(h, "%d:%d:", round, len(data))
+				h.Write(data)
+			}
+			run := func(resume []byte) (DynamicResult, []int, map[int][]byte) {
+				sc := tc.build()
+				sc.CheckpointEvery = 20
+				snaps := map[int][]byte{}
+				var rounds []int
+				sc.OnCheckpoint = func(round int, data []byte) error {
+					rounds = append(rounds, round)
+					snaps[round] = append([]byte(nil), data...)
+					return nil
+				}
+				var res DynamicResult
+				var err error
+				if resume == nil {
+					res, err = sc.Run()
+				} else {
+					var eng *DynamicEngine
+					if eng, err = sc.Resume(bytes.NewReader(resume)); err == nil {
+						res, err = eng.Run()
+						eng.Close()
+					}
+				}
+				if sc.Obs != nil {
+					sc.Obs.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, rounds, snaps
+			}
+
+			ref, rounds, snaps := run(nil)
+			if len(rounds) < 3 {
+				t.Fatalf("full run wrote %d checkpoints, want at least 3", len(rounds))
+			}
+			if len(ref.Recoveries) == 0 || len(ref.Windows) == 0 {
+				t.Fatalf("full run has %d recovery episodes and %d windows; the pin needs both",
+					len(ref.Recoveries), len(ref.Windows))
+			}
+			for _, r := range rounds {
+				add(r, snaps[r])
+			}
+
+			eng, err := tc.build().Engine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err = eng.Checkpoint(&buf)
+			eng.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(0, buf.Bytes())
+
+			mid := rounds[len(rounds)/2]
+			res, resRounds, resSnaps := run(snaps[mid])
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("run resumed from round %d diverges from the full run", mid)
+			}
+			for _, r := range resRounds {
+				add(r, resSnaps[r])
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("checkpoint digest %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }
