@@ -1,39 +1,39 @@
 package core
 
-// Checkpoint export/restore for State. The exported slices alias the
-// state's internals (read-only use expected); the restore entry point
-// takes exact recorded values for every incrementally-maintained
-// float (threshold vector, live-wmax cache, in-flight ledger weight)
-// so a resumed run continues bit-for-bit where the checkpointed one
-// stopped. The overloaded set is the one piece of derived state that
-// is recomputed instead of serialized — it is pure comparison, no
-// float accumulation, so recounting cannot drift.
+import (
+	"fmt"
 
-// SnapshotThresholds exposes the threshold vector for serialization.
-func (s *State) SnapshotThresholds() []float64 { return s.thr }
+	"repro/internal/snapshot"
+)
 
-// SnapshotLoc exposes the task→location vector for serialization
-// (indexed by task ID; LocInFlight marks ledgered moves).
-func (s *State) SnapshotLoc() []int32 { return s.loc }
-
-// SnapshotLiveWMax exposes the live-wmax cache triple.
-func (s *State) SnapshotLiveWMax() (wmax float64, count int, dirty bool) {
-	return s.liveWMax, s.liveWMaxCount, s.liveWMaxDirty
-}
-
-// RestoreSnapshot installs a checkpointed state: the round counter,
-// threshold vector, task locations, live-wmax cache and in-flight
-// ledger, then recounts the overloaded set from the (already
-// restored) stacks. Callers must restore every stack — via
-// Stack(r).Restore — and the task set before calling this.
-func (s *State) RestoreSnapshot(round int, thr []float64, loc []int32, liveWMax float64, liveWMaxCount int, liveWMaxDirty bool, inflightN int, inflightW float64) {
-	s.round = round
-	s.thr = append(s.thr[:0], thr...)
-	s.loc = loc
-	s.liveWMax = liveWMax
-	s.liveWMaxCount = liveWMaxCount
-	s.liveWMaxDirty = liveWMaxDirty
-	s.inflightN = inflightN
-	s.inflightW = inflightW
-	s.recountOverloaded()
+// Snapshot walks the state's checkpoint section through c: the round
+// counter, the threshold vector, the task locations, the live-wmax
+// cache, the in-flight ledger and every stack. Every incrementally
+// maintained float goes as its exact bit pattern, so a resumed run
+// continues bit for bit where the checkpointed one stopped. The task
+// set and the random streams are walked by the caller, in their own
+// sections. The overloaded set is the one piece of derived state that
+// is recounted instead of recorded: it is pure comparison, no float
+// accumulation, so recounting cannot drift.
+func (s *State) Snapshot(c *snapshot.Codec) {
+	c.Int(&s.round)
+	c.Float64s(&s.thr)
+	c.Int32s(&s.loc)
+	c.Float64(&s.liveWMax)
+	c.Int(&s.liveWMaxCount)
+	c.Bool(&s.liveWMaxDirty)
+	c.Int(&s.inflightN)
+	c.Float64(&s.inflightW)
+	for r := range s.stacks {
+		s.stacks[r].Snapshot(c)
+	}
+	if !c.Reading() {
+		return
+	}
+	if len(s.thr) != len(s.stacks) {
+		c.Fail(fmt.Errorf("core: snapshot threshold vector covers %d resources, fleet has %d", len(s.thr), len(s.stacks)))
+	}
+	if c.Err() == nil {
+		s.recountOverloaded()
+	}
 }

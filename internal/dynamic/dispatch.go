@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/snapshot"
 )
 
 // UpSet tracks which resources are currently part of the system,
@@ -84,6 +85,18 @@ func (u *UpSet) Up(r int) {
 	u.down = u.down[:last]
 	u.pos[r] = len(u.list)
 	u.list = append(u.list, r)
+}
+
+// snapshot walks the set's three vectors verbatim: uniform draws index
+// into list and down, so their order is state. Reading, the vectors
+// must cover all n resources; name labels the set in the error.
+func (u *UpSet) snapshot(c *snapshot.Codec, n int, name string) {
+	c.Ints(&u.list)
+	c.Ints(&u.down)
+	c.Ints(&u.pos)
+	if c.Reading() && (len(u.pos) != n || len(u.list)+len(u.down) != n) {
+		c.Fail(fmt.Errorf("dynamic: snapshot %s set covers %d+%d of %d resources", name, len(u.list), len(u.down), n))
+	}
 }
 
 // Dispatch routes an arriving task to one of the up resources.

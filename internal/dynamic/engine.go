@@ -196,11 +196,11 @@ type engine struct {
 	loadBuf, sortBuf, normBuf                     []float64
 
 	// Checkpointing (Config.CheckpointEvery / Engine.Checkpoint): the
-	// encoder persists across checkpoints so steady-state rounds stay
-	// allocation-free once its buffer reaches its high-water mark.
+	// writing codec persists across checkpoints so steady-state rounds
+	// stay allocation-free once its buffer reaches its high-water mark.
 	// startRound is where run() enters the loop (non-zero after Resume);
-	// nextRound tracks the boundary a manual Checkpoint would capture.
-	ckptEnc    *snapshot.Encoder
+	// nextRound tracks the boundary a checkpoint captures.
+	ckpt       *snapshot.Codec
 	startRound int
 	nextRound  int
 

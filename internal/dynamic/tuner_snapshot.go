@@ -7,50 +7,33 @@ import (
 	"repro/internal/snapshot"
 )
 
-// SelfTuner checkpoint support. The tuner's persistent state is small:
-// the decaying load estimates, the push-sum companion (up/speed mass)
-// and the churned latch. Everything else — the diffusion ping-pong
-// buffers, the threshold scratch, the bound shard closures — is
-// refresh-time scratch the decode path rebuilds, exactly as the lazy
-// first-Refresh init would. The estimates are bit patterns of
-// incrementally decayed sums, so they are stored as exact float bits
-// and never recomputed.
+// Snapshot implements SnapshotStater. The tuner's persistent state is
+// small: the decaying load estimates, the push-sum companion (up or
+// speed mass) and the churned latch. The estimates are bit patterns of
+// incrementally decayed sums, so they go as exact float bits and are
+// never recomputed. Everything else — the diffusion ping-pong buffers,
+// the threshold scratch, the bound shard closures — is refresh-time
+// scratch that reading rebuilds, exactly as the lazy first Refresh
+// would. Reading requires a fresh tuner of the checkpointed run's
+// configuration, speeds already applied by the engine.
 //
 // OracleTuner deliberately does not implement SnapshotStater: its only
 // field is a threshold scratch vector fully rewritten from core state
 // at each refresh round, so a fresh oracle resumes bit-identically.
-
-// EncodeSnapshot implements SnapshotStater.
-func (st *SelfTuner) EncodeSnapshot(enc *snapshot.Encoder) {
-	enc.Bool(st.est != nil)
-	if st.est == nil {
-		return
-	}
-	enc.Float64s(st.est)
-	enc.Float64s(st.upw)
-	enc.Bool(st.churned)
-}
-
-// DecodeSnapshot implements SnapshotStater. The receiver must be a
-// fresh tuner (same configuration as the checkpointed run, speeds
-// already applied by the engine); restore rebuilds the refresh scratch
-// and closures the first Refresh would otherwise lazily allocate.
-func (st *SelfTuner) DecodeSnapshot(sec *snapshot.Section) error {
-	if st.est != nil {
+func (st *SelfTuner) Snapshot(c *snapshot.Codec) error {
+	if c.Reading() && st.est != nil {
 		return errors.New("dynamic: SelfTuner snapshot restore requires a fresh tuner")
 	}
-	inited := sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
-	}
+	inited := st.est != nil
+	c.Bool(&inited)
 	if !inited {
-		return nil
+		return c.Err()
 	}
-	st.est = sec.Float64s(nil)
-	st.upw = sec.Float64s(nil)
-	st.churned = sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
+	c.Float64s(&st.est)
+	c.Float64s(&st.upw)
+	c.Bool(&st.churned)
+	if !c.Reading() || c.Err() != nil {
+		return c.Err()
 	}
 	n := len(st.est)
 	if len(st.upw) != n {

@@ -8,74 +8,51 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Locality checkpoint support. The per-rack and per-zone up-member
-// lists are maintained by swap-remove, so their ORDER is a function of
-// the whole churn history — and Pick draws uniform indexes into them.
-// Replaying ResetUp + the down set would rebuild the same membership
-// in a different order and silently divert every subsequent pick, so
-// the lists (and the position indexes that keep swap-remove O(1)) are
-// serialized verbatim.
-
-// EncodeSnapshot implements dynamic.SnapshotStater.
-func (l *Locality) EncodeSnapshot(enc *snapshot.Encoder) {
-	enc.Bool(l.rackUp != nil)
-	if l.rackUp == nil {
-		return
-	}
-	enc.Uint32(uint32(len(l.rackUp)))
-	for k := range l.rackUp {
-		enc.Int32s(l.rackUp[k])
-	}
-	enc.Uint32(uint32(len(l.zoneUp)))
-	for z := range l.zoneUp {
-		enc.Int32s(l.zoneUp[z])
-	}
-	enc.Int32s(l.posRack)
-	enc.Int32s(l.posZone)
-}
-
-// DecodeSnapshot implements dynamic.SnapshotStater. The receiver must
-// carry the same Topology as the checkpointed run; membership counts
-// are validated against it before anything is overwritten.
-func (l *Locality) DecodeSnapshot(sec *snapshot.Section) error {
-	if l.Topo == nil {
+// Snapshot implements dynamic.SnapshotStater. The per-rack and
+// per-zone up-member lists are maintained by swap-remove, so their
+// ORDER is a function of the whole churn history — and Pick draws
+// uniform indexes into them. Replaying ResetUp + the down set would
+// rebuild the same membership in a different order and silently
+// divert every subsequent pick, so the lists (and the position indexes
+// that keep swap-remove O(1)) are recorded verbatim. Reading requires
+// the checkpointed run's Topology; the rack and zone counts are
+// checked against it before any list is read.
+func (l *Locality) Snapshot(c *snapshot.Codec) error {
+	if c.Reading() && l.Topo == nil {
 		return errors.New("recovery: Locality snapshot restore needs a Topology")
 	}
-	inited := sec.Bool()
-	if err := sec.Err(); err != nil {
-		return err
-	}
-	if !inited {
-		return nil
+	inited := l.rackUp != nil
+	c.Bool(&inited)
+	if !inited || c.Err() != nil {
+		return c.Err()
 	}
 	t := l.Topo
 	if l.rackUp == nil {
 		l.ResetUp(t.N())
 	}
-	nRacks := int(sec.Uint32())
-	if sec.Err() == nil && nRacks != t.Racks() {
-		return fmt.Errorf("recovery: snapshot covers %d racks, topology has %d", nRacks, t.Racks())
+	racks := len(l.rackUp)
+	c.Len(&racks, 4)
+	if racks != t.Racks() {
+		return fmt.Errorf("recovery: snapshot covers %d racks, topology has %d", racks, t.Racks())
 	}
-	for k := 0; k < t.Racks() && sec.Err() == nil; k++ {
-		l.rackUp[k] = sec.Int32s(l.rackUp[k])
+	for k := range l.rackUp {
+		c.Int32s(&l.rackUp[k])
 	}
-	nZones := int(sec.Uint32())
-	if sec.Err() == nil && nZones != t.Zones() {
-		return fmt.Errorf("recovery: snapshot covers %d zones, topology has %d", nZones, t.Zones())
+	zones := len(l.zoneUp)
+	c.Len(&zones, 4)
+	if zones != t.Zones() {
+		return fmt.Errorf("recovery: snapshot covers %d zones, topology has %d", zones, t.Zones())
 	}
-	for z := 0; z < t.Zones() && sec.Err() == nil; z++ {
-		l.zoneUp[z] = sec.Int32s(l.zoneUp[z])
+	for z := range l.zoneUp {
+		c.Int32s(&l.zoneUp[z])
 	}
-	l.posRack = sec.Int32s(l.posRack)
-	l.posZone = sec.Int32s(l.posZone)
-	if err := sec.Err(); err != nil {
-		return err
-	}
-	if len(l.posRack) != t.N() || len(l.posZone) != t.N() {
+	c.Int32s(&l.posRack)
+	c.Int32s(&l.posZone)
+	if c.Reading() && (len(l.posRack) != t.N() || len(l.posZone) != t.N()) {
 		return fmt.Errorf("recovery: snapshot position vectors cover %d/%d resources, topology has %d",
 			len(l.posRack), len(l.posZone), t.N())
 	}
-	return nil
+	return c.Err()
 }
 
 // Interface conformance, pinned at compile time.

@@ -45,8 +45,10 @@ func fuzzSeeds() map[string][]byte {
 
 // FuzzDecoder feeds arbitrary bytes through the full decode path —
 // construction, in-order section walk, every read primitive, Done and
-// Close. The contract under fuzzing is purely "never panic, never
-// allocate absurdly": corrupt input must surface as an error.
+// Close — and then through a reading Codec, Len, Resize and Slice
+// included, the path every checkpoint restore takes. The contract
+// under fuzzing is purely "never panic, never allocate absurdly":
+// corrupt input must surface as an error.
 func FuzzDecoder(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -82,6 +84,14 @@ func FuzzDecoder(f *testing.F) {
 			_ = sec.Err()
 		}
 		_ = d.Close()
+
+		c, err := NewReader(data)
+		if err != nil {
+			t.Fatalf("NewReader rejected what NewDecoder accepted: %v", err)
+		}
+		var v codecSample
+		v.walk(c)
+		_ = c.Close()
 	})
 }
 

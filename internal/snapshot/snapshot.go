@@ -280,6 +280,16 @@ func NewDecoder(data []byte) (*Decoder, error) {
 // caller expects — a reordered or mislabelled file fails here with a
 // structured error instead of restoring the wrong state.
 func (d *Decoder) Section(name string) (*Section, error) {
+	payload, err := d.next(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Section{name: name, data: payload}, nil
+}
+
+// next parses the next section, checks its name and checksum, and
+// returns its payload.
+func (d *Decoder) next(name string) ([]byte, error) {
 	if d.read == d.nsec {
 		return nil, &Error{Section: name, Offset: d.off, Msg: fmt.Sprintf("expected section %q but all %d sections are consumed", name, d.nsec)}
 	}
@@ -307,7 +317,7 @@ func (d *Decoder) Section(name string) (*Section, error) {
 	}
 	d.off = payloadAt + plen + 4
 	d.read++
-	return &Section{name: got, data: payload}, nil
+	return payload, nil
 }
 
 // Close verifies every declared section was consumed and nothing
