@@ -161,7 +161,8 @@ func TestManualEngineSnapshotFile(t *testing.T) {
 // For each scenario it hashes every cadence checkpoint of a full run,
 // a checkpoint taken by Engine before the first round, and every
 // checkpoint a run resumed from the middle cadence checkpoint writes;
-// the resumed run must also finish with the full run's Result. The
+// the resumed run must write the full run's checkpoints and finish
+// with its Result. The
 // table reaches every section: meta, rng, tasks with initial weights,
 // state, ups with a reachable set, quar, inj with loss, delay and
 // duplication, tuner with and without speeds (and none under oracle
@@ -202,7 +203,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 					Events: []ChurnEvent{{Round: 15, Every: 20, Down: 6}}},
 				InitialWeights: initial,
 			}
-		}, "4a69405c49be2b5721f88995dcec0a7c2801720df961e9f2f901fa720f963a58"},
+		}, "e8ea9a4ae337bc86feade8888cfa5f924c166c1be9eb45a737dd0c6ea0a0bdcd"},
 		{"faults-partition-quarantine", func() DynamicScenario {
 			return DynamicScenario{
 				Graph:    ExpanderGraph(n, 6, 5102),
@@ -223,7 +224,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				},
 				Quarantine: QuarantineSpec{Flaps: 2, Window: 20, Cooloff: 10},
 			}
-		}, "56dfb7d02296c5fac46ac4cc3b0be1f8778561a875a58a63fafdd064707e5d4d"},
+		}, "5b2b5f4bf93c6910f18b4af2f5ed134f27c383f22adee9926ff33a766340f998"},
 		{"locality-alerts-speeds-trace", func() DynamicScenario {
 			return DynamicScenario{
 				Graph:    CompleteGraph(n),
@@ -245,7 +246,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				TraceSample:  0.5,
 				Obs:          NewObsBroker(),
 			}
-		}, "394d348b7a0a51b713a05fd8b2c115be69bcdba61b5289258986f4344b3681ab"},
+		}, "6cf2c728f650bd6579ff652094e8b6725180c7b0e626f493ed0c1ec97f0fdf27"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -314,6 +315,9 @@ func TestCheckpointBytesPinned(t *testing.T) {
 				t.Fatalf("run resumed from round %d diverges from the full run", mid)
 			}
 			for _, r := range resRounds {
+				if !bytes.Equal(resSnaps[r], snaps[r]) {
+					t.Fatalf("round-%d checkpoint of the run resumed from round %d differs from the full run's", r, mid)
+				}
 				add(r, resSnaps[r])
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {

@@ -256,15 +256,34 @@ func TestTracedSteadyStateZeroAllocs(t *testing.T) {
 // TestTraceCheckpointResume pins tracing across crash recovery: a run
 // killed mid-flight and resumed from its last checkpoint must replay
 // the exact trace-record and histogram-snapshot stream of the
-// uninterrupted run — open timelines (arrival rounds, hop counts) and
-// histogram state ride the snapshot.
+// uninterrupted run — open timelines (arrival rounds, hop counts),
+// histogram state and the provenance of messages parked in the delay
+// wheel (their source and send round, which a late delivery's hop
+// count, From and Latency come from) ride the snapshot.
 func TestTraceCheckpointResume(t *testing.T) {
-	const n, every, crashAt = 200, 50, 170
+	const n = 200
 	g := graph.RandomRegular(n, 8, rng.NewSeeded(21))
 	traceKinds := obs.Mask(obs.KindTrace, obs.KindTraceHist, obs.KindCheckpoint)
+	cases := []struct {
+		name           string
+		every, crashAt int
+		build          func(workers int) Config
+	}{
+		{"lifecycle", 50, 170, func(workers int) Config { return lifecycleConfig(g, n, 5, workers) }},
+		// Half of all migrations park in the wheel for up to 6 rounds, and
+		// every task is traced, so the checkpoint holds a busy wheel.
+		{"busy-wheel", 20, 75, func(workers int) Config {
+			cfg := lifecycleConfig(g, n, 5, workers)
+			cfg.Churn = Churn{}
+			cfg.Faults = &faults.Plan{DelayProb: 0.5, DelayMax: 6}
+			cfg.TraceSample = 1
+			cfg.Rounds = 120
+			return cfg
+		}},
+	}
 
-	run := func(workers int, crash int, snap []byte) (Result, []obs.Event, map[int][]byte, error) {
-		cfg := lifecycleConfig(g, n, 5, workers)
+	run := func(build func(int) Config, workers, every, crash int, snap []byte) (Result, []obs.Event, map[int][]byte, error) {
+		cfg := build(workers)
 		cfg.CheckpointEvery = every
 		cfg.CrashAfterRound = crash
 		broker := obs.NewBroker()
@@ -294,32 +313,34 @@ func TestTraceCheckpointResume(t *testing.T) {
 		return res, drainAll(sub), snaps, err
 	}
 
-	for _, workers := range []int{1, 4} {
-		baseRes, baseEvs, baseSnaps, err := run(workers, 0, nil)
-		if err != nil {
-			t.Fatalf("workers %d baseline: %v", workers, err)
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			baseRes, baseEvs, baseSnaps, err := run(tc.build, workers, tc.every, 0, nil)
+			if err != nil {
+				t.Fatalf("%s workers %d baseline: %v", tc.name, workers, err)
+			}
+			_, crashEvs, crashSnaps, err := run(tc.build, workers, tc.every, tc.crashAt, nil)
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("%s workers %d: crash run returned %v, want ErrCrashed", tc.name, workers, err)
+			}
+			last := (tc.crashAt / tc.every) * tc.every
+			snap := crashSnaps[last]
+			if snap == nil {
+				t.Fatalf("%s workers %d: no checkpoint for round %d", tc.name, workers, last)
+			}
+			resRes, resEvs, _, err := run(tc.build, workers, tc.every, 0, snap)
+			if err != nil {
+				t.Fatalf("%s workers %d resume: %v", tc.name, workers, err)
+			}
+			if !reflect.DeepEqual(resRes, baseRes) {
+				t.Fatalf("%s workers %d: resumed Result (histograms included) diverges\ngot  %+v\nwant %+v",
+					tc.name, workers, resRes, baseRes)
+			}
+			if !bytes.Equal(crashSnaps[last], baseSnaps[last]) {
+				t.Fatalf("%s workers %d: checkpoint at round %d differs between baseline and crashed run", tc.name, workers, last)
+			}
+			stream := append(prefixThroughCheckpoint(t, crashEvs, last), resEvs...)
+			requireSameEvents(t, tc.name+" trace stream", stream, baseEvs)
 		}
-		_, crashEvs, crashSnaps, err := run(workers, crashAt, nil)
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("workers %d: crash run returned %v, want ErrCrashed", workers, err)
-		}
-		last := (crashAt / every) * every
-		snap := crashSnaps[last]
-		if snap == nil {
-			t.Fatalf("workers %d: no checkpoint for round %d", workers, last)
-		}
-		resRes, resEvs, _, err := run(workers, 0, snap)
-		if err != nil {
-			t.Fatalf("workers %d resume: %v", workers, err)
-		}
-		if !reflect.DeepEqual(resRes, baseRes) {
-			t.Fatalf("workers %d: resumed Result (histograms included) diverges\ngot  %+v\nwant %+v",
-				workers, resRes, baseRes)
-		}
-		if !bytes.Equal(crashSnaps[last], baseSnaps[last]) {
-			t.Fatalf("workers %d: checkpoint at round %d differs between baseline and crashed run", workers, last)
-		}
-		stream := append(prefixThroughCheckpoint(t, crashEvs, last), resEvs...)
-		requireSameEvents(t, "trace stream", stream, baseEvs)
 	}
 }

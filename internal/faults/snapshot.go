@@ -8,11 +8,13 @@ import (
 
 // Snapshot walks the injector's sequential engine-loop state through
 // c, as one section body (the caller brackets it with Begin/End): the
-// in-flight ledger, the delay wheel (every slot, in-slot order
-// preserved: Tick walks slots verbatim, so order is semantic), the
-// dedup table, the token allocator, the partition groups and the
-// cumulative counters. The per-shard scratch, the transition map and
-// the delta buffers are transient: NewInjector builds them, or a round
+// in-flight ledger, the delay wheel, the dedup table, the token
+// allocator, the partition groups and the cumulative counters. Every
+// wheel slot goes verbatim, in-slot order preserved (Tick walks slots
+// in order, so order is semantic), and each record with its source and
+// send round, which its late delivery reports as From and as the base
+// of its latency. The per-shard scratch, the transition map and the
+// delta buffers are transient: NewInjector builds them, or a round
 // refills them. The partition group vector is recorded rather than
 // recomputed because StartRound only refreshes it on window-transition
 // rounds; a resume mid-window would otherwise run with a stale (empty)
@@ -36,11 +38,13 @@ func (inj *Injector) Snapshot(c *snapshot.Codec) {
 		return
 	}
 	for i := range inj.wheel {
-		snapshot.Slice(c, &inj.wheel[i], 32, func(wr *wheelRec) {
+		snapshot.Slice(c, &inj.wheel[i], 40, func(wr *wheelRec) {
 			c.Int(&wr.tk.ID)
 			c.Float64(&wr.tk.Weight)
+			c.Int32(&wr.src)
 			c.Int32(&wr.dest)
 			c.Int32(&wr.due)
+			c.Int32(&wr.sent)
 			c.Uint64(&wr.token)
 		})
 	}

@@ -9,12 +9,19 @@ import (
 )
 
 // fuzzSeeds returns the seed inputs committed under
-// testdata/fuzz/FuzzDecoder: a pristine snapshot plus the three
-// corruption families the decoder must reject without panicking —
-// truncated, bit-flipped, and section-reordered files.
+// testdata/fuzz/FuzzDecoder: a pristine snapshot, one a Codec walk
+// reads in full, plus the three corruption families the decoder must
+// reject without panicking — truncated, bit-flipped, and
+// section-reordered files.
 func fuzzSeeds() map[string][]byte {
 	enc := NewEncoder()
 	valid := append([]byte(nil), buildSample(enc)...)
+
+	w := NewWriter()
+	sample := fullSample()
+	sample.walk(w)
+	_ = w.Close()
+	codecValid := append([]byte(nil), w.Bytes()...)
 
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -35,6 +42,7 @@ func fuzzSeeds() map[string][]byte {
 
 	return map[string][]byte{
 		"valid":             valid,
+		"codec-valid":       codecValid,
 		"truncated":         valid[:len(valid)*2/3],
 		"bit-flipped":       flipped,
 		"section-reordered": reordered,

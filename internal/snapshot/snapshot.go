@@ -5,7 +5,7 @@
 // A snapshot file is
 //
 //	magic "LBSNAP\r\n" (8 bytes)       — the \r\n catches text-mode mangling
-//	version uint32                      — format revision, currently 1
+//	version uint32                      — format revision, currently 2
 //	section count uint32
 //	section*:
 //	    name length uint8, name bytes   — short ASCII identifier
@@ -42,8 +42,9 @@ import (
 )
 
 // Version is the current snapshot format revision. Decoders reject
-// files written by a different revision.
-const Version = 1
+// files written by a different revision. Revision 2 added each delay
+// wheel record's source and send round.
+const Version = 2
 
 const (
 	magic      = "LBSNAP\r\n"
