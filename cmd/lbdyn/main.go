@@ -429,15 +429,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Faults:           plan,
 		Quarantine:       quar,
 		CheckInvariants:  *check,
-		OnWindow: func(w lb.WindowStats) {
-			p99 := w.P99Load
-			if speeds != nil {
-				p99 = w.P99LoadPerSpeed
-			}
-			fmt.Fprintf(stdout, "%4d-%-4d %9.2f%% %10.2f %10.2f %10.2f %10.2f %10.0f %6d\n",
-				w.Start, w.End, 100*w.OverloadFrac, w.MigrationRate, w.ArrivalRate,
-				w.DepartureRate, p99, w.InFlightWeight, w.UpResources)
-		},
 	}
 	if topo != nil {
 		sc.Domains = lb.ObsDomains(topo)
@@ -650,6 +641,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			metricsHook(metricsURL)
 		}
 		srv.Close()
+	}
+	// The window rows print before the run-error check: a run stopped
+	// by -crash-at-round still shows the windows it completed.
+	for _, w := range res.Windows {
+		p99 := w.P99Load
+		if speeds != nil {
+			p99 = w.P99LoadPerSpeed
+		}
+		fmt.Fprintf(stdout, "%4d-%-4d %9.2f%% %10.2f %10.2f %10.2f %10.2f %10.0f %6d\n",
+			w.Start, w.End, 100*w.OverloadFrac, w.MigrationRate, w.ArrivalRate,
+			w.DepartureRate, p99, w.InFlightWeight, w.UpResources)
 	}
 	if runErr != nil {
 		if errors.Is(runErr, lb.ErrCrashed) {

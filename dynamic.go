@@ -511,9 +511,6 @@ type DynamicScenario struct {
 	// CheckInvariants validates weight conservation every round
 	// (slow; tests only).
 	CheckInvariants bool
-	// OnWindow, if non-nil, receives each completed metrics window —
-	// the streaming-metrics hook.
-	OnWindow func(WindowStats)
 	// Obs, if non-nil, streams the run's typed telemetry events into
 	// the broker (see ObsBroker). Subscribe attaches a subscription and
 	// fills this field lazily.
@@ -737,7 +734,6 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 		InitialWeights:   sc.InitialWeights,
 		InitialPlacement: sc.InitialPlacement,
 		CheckInvariants:  sc.CheckInvariants,
-		OnWindow:         sc.OnWindow,
 		Obs:              sc.Obs,
 		Domains:          sc.Domains,
 		TraceSample:      sc.TraceSample,

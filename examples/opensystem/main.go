@@ -57,14 +57,14 @@ func homogeneous() {
 		Service:  lb.WeightProportionalService(1),
 		Dispatch: lb.HotspotDispatch(0),
 		Churn:    lb.ChurnSpec{LeaveProb: 0.05, JoinProb: 0.05, MinUp: 9 * n / 10},
-		OnWindow: func(w lb.WindowStats) {
-			fmt.Printf("rounds %4d-%-4d  overload %5.2f%%  p99 load %6.1f  in flight %6.0f  up %d\n",
-				w.Start, w.End, 100*w.OverloadFrac, w.P99Load, w.InFlightWeight, w.UpResources)
-		},
 	}
 	res, err := sc.Run()
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, w := range res.Windows {
+		fmt.Printf("rounds %4d-%-4d  overload %5.2f%%  p99 load %6.1f  in flight %6.0f  up %d\n",
+			w.Start, w.End, 100*w.OverloadFrac, w.P99Load, w.InFlightWeight, w.UpResources)
 	}
 	fmt.Printf("\nserved %d tasks (weight %.0f); %d still in flight\n",
 		res.Departed, res.DepartedWeight, res.FinalInFlight)
@@ -103,14 +103,14 @@ func heterogeneous() {
 		Service:  lb.WeightProportionalService(1),
 		Dispatch: lb.SpeedWeightedDispatch(),
 		Churn:    lb.ChurnSpec{LeaveProb: 0.05, JoinProb: 0.05, MinUp: 9 * n / 10},
-		OnWindow: func(w lb.WindowStats) {
-			fmt.Printf("rounds %4d-%-4d  overload %5.2f%%  p99 load/speed %6.1f  in flight %6.0f  up %d\n",
-				w.Start, w.End, 100*w.OverloadFrac, w.P99LoadPerSpeed, w.InFlightWeight, w.UpResources)
-		},
 	}
 	res, err := sc.Run()
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, w := range res.Windows {
+		fmt.Printf("rounds %4d-%-4d  overload %5.2f%%  p99 load/speed %6.1f  in flight %6.0f  up %d\n",
+			w.Start, w.End, 100*w.OverloadFrac, w.P99LoadPerSpeed, w.InFlightWeight, w.UpResources)
 	}
 	fmt.Printf("\nserved %d tasks (weight %.0f) on %.1fx the homogeneous capacity\n",
 		res.Departed, res.DepartedWeight, totalSpeed/n)

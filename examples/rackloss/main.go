@@ -80,14 +80,14 @@ func run(topo *lb.Topology, events []lb.ChurnEvent, rehome lb.RehomePolicy) lb.D
 		Dispatch: lb.PowerOfDDispatch(2),
 		Rehome:   rehome,
 		Churn:    lb.ChurnSpec{MinUp: n / 4, Events: events},
-		OnWindow: func(w lb.WindowStats) {
-			fmt.Printf("  rounds %4d-%-4d overload %6.2f%%  rehomed/round %7.1f  up %4d\n",
-				w.Start, w.End, 100*w.OverloadFrac, w.RehomeRate, w.UpResources)
-		},
 	}
 	res, err := sc.Run()
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, w := range res.Windows {
+		fmt.Printf("  rounds %4d-%-4d overload %6.2f%%  rehomed/round %7.1f  up %4d\n",
+			w.Start, w.End, 100*w.OverloadFrac, w.RehomeRate, w.UpResources)
 	}
 	drained := 0
 	for _, rs := range res.Recoveries {

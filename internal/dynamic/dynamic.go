@@ -335,8 +335,6 @@ type Config struct {
 	// OnRound, if non-nil, runs after every completed round with the
 	// live state (read-only use expected).
 	OnRound func(round int, s *core.State)
-	// OnWindow, if non-nil, receives each completed metrics window.
-	OnWindow func(w WindowStats)
 	// Obs, if non-nil, streams typed telemetry events into the given
 	// broker: fleet / per-shard / per-domain window statistics at the
 	// Window cadence, exchange lane occupancy, per-shard phase timings

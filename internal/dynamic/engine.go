@@ -1456,9 +1456,6 @@ func (e *engine) flush(end int) {
 		ws.P99LoadPerSpeed = stats.QuantileSorted(e.normBuf, 0.99)
 	}
 	e.res.Windows = append(e.res.Windows, ws)
-	if e.cfg.OnWindow != nil {
-		e.cfg.OnWindow(ws)
-	}
 	if e.broker != nil {
 		e.ev = obs.Event{Kind: obs.KindWindow, Round: end, Window: ws}
 		e.broker.Publish(&e.ev)

@@ -38,7 +38,7 @@ func drainAll(sub *obs.Subscription) []obs.Event {
 
 // TestObserverDeterminism is the golden observer test: attaching the
 // full observability stack — a broker with an all-kinds subscription,
-// per-shard windows, domain windows and OnWindow — must leave
+// per-shard windows and domain windows — must leave
 // the Result bit-for-bit identical to the unobserved run for every
 // worker count, and the fleet-level event stream (windows, domain
 // windows, recovery episodes) must itself be identical across worker
@@ -73,8 +73,6 @@ func TestObserverDeterminism(t *testing.T) {
 			broker := obs.NewBroker()
 			cfg.Obs = broker
 			sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 15})
-			var windowEnds []int
-			cfg.OnWindow = func(w WindowStats) { windowEnds = append(windowEnds, w.End) }
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("seed %d workers %d observed: %v", seed, workers, err)
@@ -95,13 +93,6 @@ func TestObserverDeterminism(t *testing.T) {
 					seed, workers, res, ref)
 			}
 
-			// Callbacks arrive in round order for any worker count.
-			for i := 1; i < len(windowEnds); i++ {
-				if windowEnds[i] <= windowEnds[i-1] {
-					t.Fatalf("seed %d workers %d: OnWindow out of round order: %v", seed, workers, windowEnds)
-				}
-			}
-
 			evs := drainAll(sub)
 			if sub.Dropped() != 0 {
 				t.Fatalf("seed %d workers %d: capacity-%d subscription dropped %d events",
@@ -111,6 +102,19 @@ func TestObserverDeterminism(t *testing.T) {
 				t.Fatalf("seed %d workers %d: no events published", seed, workers)
 			}
 			checkEventStream(t, evs, n, workers, seed)
+
+			// Window events arrive in round order for any worker count.
+			lastEnd := -1
+			for _, ev := range evs {
+				if ev.Kind != obs.KindWindow {
+					continue
+				}
+				if ev.Window.End <= lastEnd {
+					t.Fatalf("seed %d workers %d: window ending at %d follows one ending at %d",
+						seed, workers, ev.Window.End, lastEnd)
+				}
+				lastEnd = ev.Window.End
+			}
 
 			// Invariant 3: the fleet-level stream — windows, domain
 			// windows, recovery transitions — is identical across worker
@@ -189,7 +193,7 @@ func checkEventStream(t *testing.T, evs []obs.Event, n, workers int, seed uint64
 	}
 }
 
-// TestObserverMidRunSubscribe: a subscription opened from a window
+// TestObserverMidRunSubscribe: a subscription opened from a round
 // callback mid-run sees only later events and still cannot perturb the
 // outcome — the broker supports live attach the way the HTTP exporter
 // needs.
@@ -208,8 +212,8 @@ func TestObserverMidRunSubscribe(t *testing.T) {
 	broker := obs.NewBroker()
 	cfg.Obs = broker
 	var late *obs.Subscription
-	cfg.OnWindow = func(w WindowStats) {
-		if late == nil && w.End >= 100 {
+	cfg.OnRound = func(round int, s *core.State) {
+		if late == nil && round+1 >= 100 {
 			late = broker.Subscribe(obs.SubOptions{Capacity: 1 << 14,
 				Kinds: obs.Mask(obs.KindWindow)})
 		}
@@ -223,7 +227,7 @@ func TestObserverMidRunSubscribe(t *testing.T) {
 		t.Fatalf("mid-run subscriber changed the Result:\ngot  %+v\nwant %+v", res, plain)
 	}
 	if late == nil {
-		t.Fatal("window callback never fired past round 100")
+		t.Fatal("round callback never fired past round 100")
 	}
 	evs := drainAll(late)
 	if len(evs) == 0 {
@@ -233,8 +237,9 @@ func TestObserverMidRunSubscribe(t *testing.T) {
 		if ev.Kind != obs.KindWindow {
 			t.Fatalf("mask leak: %v event on a window-only subscription", ev.Kind)
 		}
-		// The subscription opens inside the round-100 flush, so that
-		// window itself may still land in it; earlier ones must not.
+		// The subscription opens at the end of round 99, before the
+		// round-100 flush, so that window lands in it; earlier ones
+		// must not.
 		if ev.Round < 100 {
 			t.Fatalf("late subscription saw pre-attach event from round %d", ev.Round)
 		}

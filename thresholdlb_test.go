@@ -308,7 +308,6 @@ func TestDynamicScenarioSteadyState(t *testing.T) {
 }
 
 func TestDynamicScenarioChurnAndStreaming(t *testing.T) {
-	windows := 0
 	sc := DynamicScenario{
 		Graph:            TorusGraph(8, 8),
 		Protocol:         MixedBased,
@@ -322,14 +321,24 @@ func TestDynamicScenarioChurnAndStreaming(t *testing.T) {
 		Churn:            ChurnSpec{LeaveProb: 0.1, JoinProb: 0.1, MinUp: 32},
 		CheckInvariants:  true,
 		OracleThresholds: true,
-		OnWindow:         func(w WindowStats) { windows++ },
 	}
+	sub := sc.Subscribe(ObsSubOptions{Capacity: 64, Kinds: ObsMask(KindWindow)})
 	res, err := sc.Run()
+	sc.Obs.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if windows != len(res.Windows) || windows != 5 {
-		t.Fatalf("streaming windows %d, result windows %d", windows, len(res.Windows))
+	var streamed []ObsEvent
+	for evs := sub.Poll(nil); len(evs) > 0; evs = sub.Poll(nil) {
+		streamed = append(streamed, evs...)
+	}
+	if len(streamed) != len(res.Windows) || len(streamed) != 5 {
+		t.Fatalf("streaming windows %d, result windows %d", len(streamed), len(res.Windows))
+	}
+	for i, ev := range streamed {
+		if ev.Window.End != res.Windows[i].End {
+			t.Fatalf("streamed window %d ends at round %d, result window at %d", i, ev.Window.End, res.Windows[i].End)
+		}
 	}
 	if res.Downs == 0 || res.Rehomed == 0 {
 		t.Fatalf("churn never fired: %+v", res)
