@@ -80,7 +80,10 @@ func (en *Engine) Run() (Result, error) {
 
 // Checkpoint encodes the engine's current state and writes it to w.
 func (en *Engine) Checkpoint(w io.Writer) error {
-	data := en.e.checkpointBytes()
+	data, err := en.e.checkpointBytes()
+	if err != nil {
+		return fmt.Errorf("dynamic: encoding checkpoint: %w", err)
+	}
 	if _, err := w.Write(data); err != nil {
 		return fmt.Errorf("dynamic: writing checkpoint: %w", err)
 	}
@@ -131,7 +134,10 @@ func Resume(r io.Reader, cfg Config) (*Engine, error) {
 // checkpoint runs one cadence checkpoint: encode, announce on the
 // broker, hand the bytes to the sink.
 func (e *engine) checkpoint(round int) error {
-	data := e.checkpointBytes()
+	data, err := e.checkpointBytes()
+	if err != nil {
+		return fmt.Errorf("dynamic: checkpoint at round %d: %w", round, err)
+	}
 	if e.cfg.OnCheckpoint != nil {
 		if err := e.cfg.OnCheckpoint(round, data); err != nil {
 			return fmt.Errorf("dynamic: checkpoint at round %d: %w", round, err)
@@ -143,13 +149,16 @@ func (e *engine) checkpoint(round int) error {
 // checkpointBytes encodes the snapshot capturing the boundary entering
 // nextRound and publishes its KindCheckpoint marker. The returned slice
 // aliases the engine's reusable encoder buffer; encoding allocates
-// nothing once that buffer reaches its high-water mark.
-func (e *engine) checkpointBytes() []byte {
+// nothing once that buffer reaches its high-water mark. Only a
+// SnapshotStater reporting an error can make it fail.
+func (e *engine) checkpointBytes() ([]byte, error) {
 	if e.ckpt == nil {
 		e.ckpt = snapshot.NewWriter()
 	}
 	e.ckpt.Reset()
-	e.snapshot(e.ckpt)
+	if err := e.snapshot(e.ckpt); err != nil {
+		return nil, err
+	}
 	data := e.ckpt.Bytes()
 	if e.broker != nil {
 		round := e.nextRound
@@ -157,7 +166,7 @@ func (e *engine) checkpointBytes() []byte {
 			Checkpoint: obs.CheckpointEvent{Round: round, Bytes: len(data)}}
 		e.broker.Publish(&e.ev)
 	}
-	return data
+	return data, nil
 }
 
 // snapshot walks the engine's complete checkpoint state through c,

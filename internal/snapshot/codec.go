@@ -1,5 +1,10 @@
 package snapshot
 
+import (
+	"encoding/binary"
+	"math"
+)
+
 // Codec walks a snapshot in either direction with one sequence of
 // calls. A writing codec appends the value each pointer holds through
 // an Encoder; a reading codec stores the next value of the open
@@ -14,9 +19,10 @@ package snapshot
 // checks Err (or Close) once. Code that derives state from what it
 // read, or indexes by it, must check Err first.
 type Codec struct {
-	enc *Encoder // nil when reading
-	dec *Decoder // nil when writing
-	sec Section  // the open section when reading; sec.err latches the first failure either way
+	reading bool
+	enc     *Encoder // nil when reading
+	dec     *Decoder // nil when writing
+	sec     Section  // the open section when reading; sec.err latches the first failure either way
 }
 
 // NewWriter returns a writing codec with its own encoder. Reuse it:
@@ -33,11 +39,11 @@ func NewReader(data []byte) (*Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Codec{dec: d}, nil
+	return &Codec{reading: true, dec: d}, nil
 }
 
 // Reading reports whether the codec restores (true) or saves (false).
-func (c *Codec) Reading() bool { return c.dec != nil }
+func (c *Codec) Reading() bool { return c.reading }
 
 // Reset starts a new snapshot on a writing codec, reusing its buffer.
 func (c *Codec) Reset() {
@@ -99,83 +105,109 @@ func (c *Codec) Close() error {
 // encoder's buffer and is valid until the next Reset.
 func (c *Codec) Bytes() []byte { return c.enc.Finish() }
 
-// Each primitive puts its write half first: a checkpoint cadence runs
-// only that half.
+// The fixed-width primitives and Len keep their read half to one call
+// of an out-of-line reader, so that all but Bool fit the compiler's
+// inlining budget: their write half, all a checkpoint cadence runs,
+// inlines into the walk as the bare append.
 
 // Uint8 walks one byte.
 func (c *Codec) Uint8(v *uint8) {
-	if c.dec == nil {
+	if c.reading {
+		c.readUint8(v)
+	} else {
 		c.enc.Uint8(*v)
-		return
 	}
-	*v = c.sec.Uint8()
 }
 
 // Bool walks a bool as one byte; reading, any byte other than 0 or 1
 // is a failure.
 func (c *Codec) Bool(v *bool) {
-	if c.dec == nil {
+	if c.reading {
+		c.readBool(v)
+	} else {
 		c.enc.Bool(*v)
-		return
 	}
-	*v = c.sec.Bool()
 }
 
 // Uint64 walks a little-endian uint64.
 func (c *Codec) Uint64(v *uint64) {
-	if c.dec == nil {
+	if c.reading {
+		c.readUint64(v)
+	} else {
 		c.enc.Uint64(*v)
-		return
 	}
-	*v = c.sec.Uint64()
 }
 
 // Int walks an int as its two's-complement 64-bit pattern.
 func (c *Codec) Int(v *int) {
-	if c.dec == nil {
-		c.enc.Int(*v)
-		return
+	if c.reading {
+		c.readInt(v)
+	} else {
+		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, uint64(*v))
 	}
-	*v = c.sec.Int()
 }
 
 // Int32 walks an int32 as its two's-complement 32-bit pattern.
 func (c *Codec) Int32(v *int32) {
-	if c.dec == nil {
-		c.enc.Int32(*v)
-		return
+	if c.reading {
+		c.readInt32(v)
+	} else {
+		c.enc.buf = binary.LittleEndian.AppendUint32(c.enc.buf, uint32(*v))
 	}
-	*v = c.sec.Int32()
 }
 
 // Int64 walks an int64 as its two's-complement pattern.
 func (c *Codec) Int64(v *int64) {
-	if c.dec == nil {
-		c.enc.Int64(*v)
-		return
+	if c.reading {
+		c.readInt64(v)
+	} else {
+		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, uint64(*v))
 	}
-	*v = c.sec.Int64()
 }
 
 // Float64 walks the exact IEEE-754 bit pattern of a float64.
 func (c *Codec) Float64(v *float64) {
-	if c.dec == nil {
-		c.enc.Float64(*v)
-		return
+	if c.reading {
+		c.readFloat64(v)
+	} else {
+		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, math.Float64bits(*v))
 	}
-	*v = c.sec.Float64()
 }
 
 // Len walks a length prefix. Reading, the length is bounded by the
 // bytes left in the section at elemSize bytes per element, so a
 // corrupted length cannot drive a giant allocation.
 func (c *Codec) Len(n *int, elemSize int) {
-	if c.dec == nil {
+	if c.reading {
+		c.readLen(n, elemSize)
+	} else {
 		c.enc.Uint32(uint32(*n))
-		return
 	}
-	*n = c.sec.count(elemSize)
 }
+
+//go:noinline
+func (c *Codec) readUint8(v *uint8) { *v = c.sec.Uint8() }
+
+//go:noinline
+func (c *Codec) readBool(v *bool) { *v = c.sec.Bool() }
+
+//go:noinline
+func (c *Codec) readUint64(v *uint64) { *v = c.sec.Uint64() }
+
+//go:noinline
+func (c *Codec) readInt(v *int) { *v = c.sec.Int() }
+
+//go:noinline
+func (c *Codec) readInt32(v *int32) { *v = c.sec.Int32() }
+
+//go:noinline
+func (c *Codec) readInt64(v *int64) { *v = c.sec.Int64() }
+
+//go:noinline
+func (c *Codec) readFloat64(v *float64) { *v = c.sec.Float64() }
+
+//go:noinline
+func (c *Codec) readLen(n *int, elemSize int) { *n = c.sec.count(elemSize) }
 
 // The slice walkers below write a length prefix and the elements;
 // reading, they refill *s in place, reusing its backing array.

@@ -87,7 +87,6 @@ func FuzzDecoder(f *testing.F) {
 			sec.Uint64s(nil)
 			sec.Float64s(nil)
 			sec.Bools(nil)
-			sec.Len(8)
 			_ = sec.Done()
 			_ = sec.Err()
 		}

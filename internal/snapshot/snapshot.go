@@ -32,6 +32,9 @@
 // engine checkpointing on a cadence allocates only until the buffer
 // reaches its high-water mark — steady-state rounds stay at zero
 // allocations even with checkpointing enabled.
+//
+// A Codec runs one walk in either direction over these primitives, so
+// a type saves and restores its state with a single method.
 package snapshot
 
 import (
@@ -519,7 +522,3 @@ func (s *Section) Bools(dst []bool) []bool {
 	}
 	return dst
 }
-
-// Len reads a bare length prefix for caller-managed element loops,
-// bounded by the remaining payload at elemSize bytes per element.
-func (s *Section) Len(elemSize int) int { return s.count(elemSize) }
