@@ -108,7 +108,7 @@ func (c *Codec) Bytes() []byte { return c.enc.Finish() }
 // The fixed-width primitives and Len keep their read half to one call
 // of an out-of-line reader, so that all but Bool fit the compiler's
 // inlining budget: their write half, all a checkpoint cadence runs,
-// inlines into the walk as the bare append.
+// inlines into the walk as the encoder's bare append.
 
 // Uint8 walks one byte.
 func (c *Codec) Uint8(v *uint8) {
@@ -143,7 +143,7 @@ func (c *Codec) Int(v *int) {
 	if c.reading {
 		c.readInt(v)
 	} else {
-		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, uint64(*v))
+		c.enc.Int(*v)
 	}
 }
 
@@ -152,7 +152,7 @@ func (c *Codec) Int32(v *int32) {
 	if c.reading {
 		c.readInt32(v)
 	} else {
-		c.enc.buf = binary.LittleEndian.AppendUint32(c.enc.buf, uint32(*v))
+		c.enc.Int32(*v)
 	}
 }
 
@@ -161,7 +161,7 @@ func (c *Codec) Int64(v *int64) {
 	if c.reading {
 		c.readInt64(v)
 	} else {
-		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, uint64(*v))
+		c.enc.Int64(*v)
 	}
 }
 
@@ -170,6 +170,8 @@ func (c *Codec) Float64(v *float64) {
 	if c.reading {
 		c.readFloat64(v)
 	} else {
+		// Encoder.Float64's append, spelled out: through the call the
+		// method misses the inlining budget.
 		c.enc.buf = binary.LittleEndian.AppendUint64(c.enc.buf, math.Float64bits(*v))
 	}
 }

@@ -176,14 +176,18 @@ func (e *Encoder) Uint32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.
 // Uint64 appends a little-endian uint64.
 func (e *Encoder) Uint64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
+// Int, Int64 and Int32 spell their append out rather than call Uint64
+// or Uint32, which keeps the Codec primitives that call them within
+// the inlining budget.
+
 // Int appends an int as its two's-complement 64-bit pattern.
-func (e *Encoder) Int(v int) { e.Uint64(uint64(int64(v))) }
+func (e *Encoder) Int(v int) { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
 
 // Int64 appends an int64 as its two's-complement pattern.
-func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
+func (e *Encoder) Int64(v int64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
 
 // Int32 appends an int32 as its two's-complement 32-bit pattern.
-func (e *Encoder) Int32(v int32) { e.Uint32(uint32(v)) }
+func (e *Encoder) Int32(v int32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v)) }
 
 // Float64 appends the exact IEEE-754 bit pattern of v.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
