@@ -19,13 +19,13 @@ race:
 # Coverage-guided fuzz of the shared line reader against the loops it
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
 # parsers, the JSONL event-sink reader, the round-log codec against
-# encoding/json, the graph builder and the move-batch sort against
-# their references, RandomRegular's open-addressing edge set against a
-# map, the diffusion kernels against their plain reference gather, the
-# delivery exchange against the sequential
-# delivery it replaced, and the integer migration coin against the
-# float coin it replaced (mirrors the CI smoke job; go accepts one
-# -fuzz target per invocation).
+# encoding/json and its weight parser against strconv, the graph
+# builder and the move-batch sort against their references,
+# RandomRegular's open-addressing edge set against a map, the diffusion
+# kernels against their plain reference gather, the delivery exchange
+# against the sequential delivery it replaced, and the integer
+# migration coin against the float coin it replaced (mirrors the CI
+# smoke job; go accepts one -fuzz target per invocation).
 fuzz:
 	for target in FuzzJSONL FuzzCSV; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/lineio || exit 1; \
@@ -42,8 +42,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
-	$(GO) test -run '^$$' -fuzz '^FuzzRoundLog$$' -fuzztime 30s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzRoundLogCodec$$' -fuzztime 30s ./internal/serve
+	for target in FuzzRoundLog FuzzRoundLogCodec FuzzParseFloat; do \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/serve || exit 1; \
+	done
 	for target in FuzzBuild FuzzEdgeSet; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/graph || exit 1; \
 	done

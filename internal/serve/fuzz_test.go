@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/lineio"
+	"repro/internal/rng"
 )
 
 // FuzzRoundLog hammers the round-log parser with arbitrary bytes: it
@@ -139,4 +141,141 @@ func sameRecord(a, b RoundRecord) bool {
 	}
 	a.Weights, b.Weights = nil, nil
 	return reflect.DeepEqual(a, b)
+}
+
+// strconvFloat is the reference for parseFloat: the JSON number's
+// length by numberLen, its value by strconv.ParseFloat, and 0, 0 where
+// either rejects it.
+func strconvFloat(p []byte) (float64, int) {
+	n, _ := numberLen(p)
+	if n == 0 {
+		return 0, 0
+	}
+	v, err := strconv.ParseFloat(string(p[:n]), 64)
+	if err != nil {
+		return 0, 0
+	}
+	return v, n
+}
+
+// FuzzParseFloat holds parseFloat to strconvFloat: for any bytes, the
+// same length and the same bits. Run with
+//
+//	go test -run '^$' -fuzz '^FuzzParseFloat$' -fuzztime 30s ./internal/serve
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range []string{
+		// Ties: 2^53+1 and 2^53+3 are odd integers halfway between
+		// float64s; the fractions are midpoints below 2^53.
+		"9007199254740993", "9007199254740995", "18014398509481986",
+		"4503599627370496.5", "4503599627370497.5", "2251799813685248.25",
+		"1125899906842624.125", "562949953421312.0625",
+		// Rounding up to a power of two: a tie and a nearer neighbour.
+		"9007199254740991.5", "1.9999999999999999", "0.99999999999999999",
+		// 2^53 - 1, 2^53 and 2^53 + 1 with a fraction.
+		"9007199254740991", "9007199254740992", "900719925474099.3",
+		// Significands of 16, 17, 19 and 20 digits.
+		"1.234567890123456", "19.999999999999996", "1.234567890123456789", "1.2345678901234567891",
+		"9999999999999999999", "18446744073709551615", "18446744073709551616",
+		// 19 and 20 fraction digits, and leading zeros.
+		"0.1234567890123456789", "0.12345678901234567891", "0.0000000000000000001",
+		"0.000001", "0.00000000000000000001", "1.00000001",
+		// Signs, zeros, integers.
+		"-0", "0", "0.0", "-0.0", "7", "-12", "20", "1.5,2", "3]",
+		// Exponent forms and numbers strconv rejects.
+		"1e21", "1.5e-7", "1E+2", "-2e-0", "1e400", "-1e400", "1e-400",
+		// Not numbers, or a number cut short.
+		"", "-", "01", "1.", ".5", "1e", "1.5e+", "+1", "1.2345678x",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		got, n := parseFloat(p)
+		want, wantN := strconvFloat(p)
+		if n != wantN || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: parseFloat gives %v (%#x) length %d, strconv %v (%#x) length %d",
+				p, got, math.Float64bits(got), n, want, math.Float64bits(want), wantN)
+		}
+	})
+}
+
+// TestParseFloatTable reads back, as parseFloat, ~200k numbers that
+// reach both of its branches and its fallback: weights shaped like
+// serve-live's (Pareto(2) draws capped at 20), random finite bit
+// patterns and random significands scaled by 10^-4 to 10^19, all
+// written by appendFloat, which must read back to the same bits; and
+// decimal midpoints between neighbouring float64s and random digit
+// strings, which must read as strconv reads them.
+func TestParseFloatTable(t *testing.T) {
+	r := rng.NewSeeded(0x9a25e)
+	var b []byte
+	check := func(b []byte) float64 {
+		t.Helper()
+		got, n := parseFloat(b)
+		want, wantN := strconvFloat(b)
+		if n != len(b) || wantN != len(b) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: parseFloat gives %v (%#x) length %d, strconv %v (%#x) length %d",
+				b, got, math.Float64bits(got), n, want, math.Float64bits(want), wantN)
+		}
+		return got
+	}
+	roundTrip := func(w float64) {
+		t.Helper()
+		b = appendFloat(b[:0], w)
+		if got := check(b); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("%q reads back as %v, want %v", b, got, w)
+		}
+	}
+	for range 100_000 {
+		roundTrip(math.Min(r.Pareto(1, 2), 20))
+	}
+	for range 40_000 {
+		if w := math.Float64frombits(r.Uint64()); !math.IsNaN(w) && !math.IsInf(w, 0) {
+			roundTrip(w)
+		}
+	}
+	for range 40_000 {
+		roundTrip(float64(r.Uint64()>>11) / (1 << 53) * math.Pow(10, float64(r.Intn(24)-4)))
+	}
+	// Midpoints of [2^e, 2^(e+1)), e = 49..62: (2·mant+1)·2^(e−53),
+	// written exactly, with 1 to 4 fraction digits below 2^53. One in
+	// eight is the midpoint below 2^(e+1), which rounds up to it.
+	for range 10_000 {
+		e := 49 + r.Intn(14)
+		odd := (r.Uint64()>>11|1<<52)<<1 | 1
+		if r.Intn(8) == 0 {
+			odd = 1<<54 - 1
+		}
+		if e >= 53 {
+			b = strconv.AppendUint(b[:0], odd<<(e-53), 10)
+		} else {
+			j := 53 - e
+			b = strconv.AppendUint(b[:0], odd*uint64(math.Pow(5, float64(j))), 10)
+			b = append(b[:len(b)-j], append([]byte{'.'}, b[len(b)-j:]...)...)
+		}
+		check(b)
+	}
+	// Digit strings of 1 to 21 digits, with or without a sign and a
+	// fraction.
+	for range 20_000 {
+		b = b[:0]
+		if r.Intn(2) == 0 {
+			b = append(b, '-')
+		}
+		nd := 1 + r.Intn(21)
+		dot := r.Intn(nd + 1) // digits before the dot; nd means no dot
+		for i := range nd {
+			if i == dot {
+				if i == 0 {
+					b = append(b, '0')
+				}
+				b = append(b, '.')
+			}
+			d := byte('0' + r.Intn(10))
+			if i == 0 && dot > 1 && d == '0' {
+				d = '1'
+			}
+			b = append(b, d)
+		}
+		check(b)
+	}
 }

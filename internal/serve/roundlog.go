@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -24,13 +26,17 @@ import (
 // round-trip exactly: a weight is written as the shortest decimal that
 // parses back to the same float64).
 //
-// The runtime formats and parses its own lines with strconv: a log of
-// a few thousand rounds carries millions of weights, and every resume
-// reads it whole. The bytes are exactly those json.Marshal writes, and
-// any line not in that shape — hand-edited, spaced, reordered — goes
-// to the strict encoding/json decode every other JSONL file uses, so
-// what the log accepts and rejects does not depend on which path read
-// a line.
+// The runtime formats and parses its own lines: a log of a few
+// thousand rounds carries millions of weights, and every resume reads
+// it whole. It formats with strconv, exactly the bytes json.Marshal
+// writes. It reads each weight in one pass that builds the decimal
+// significand and divides it by a power of ten, correctly rounded
+// (parseFloat); a number that pass does not take, with more than 19
+// digits or an exponent, goes to strconv, and FuzzParseFloat holds the
+// pass to strconv bit for bit. Any line not in AppendRecord's shape —
+// hand-edited, spaced, reordered — goes to the strict encoding/json
+// decode every other JSONL file uses, so what the log accepts and
+// rejects does not depend on which path read a line.
 
 // RoundRecord is one stepped round's external input.
 type RoundRecord struct {
@@ -227,9 +233,10 @@ func parseArray[T any](p *[]byte, key string, number func([]byte) (T, int), dst 
 }
 
 // parseInt and parseFloat parse the JSON number p starts with as
-// encoding/json does for an int and a float64: strconv of the number's
-// bytes, an int with no fraction or exponent. They return the number
-// and its length, 0 if p starts with none they accept.
+// encoding/json does for an int and a float64: the value strconv gives
+// for the number's bytes, an int with no fraction or exponent. They
+// return the number and its length, 0 if p starts with none they
+// accept.
 func parseInt(p []byte) (int, int) {
 	n, integer := numberLen(p)
 	if n == 0 || !integer {
@@ -242,7 +249,71 @@ func parseInt(p []byte) (int, int) {
 	return int(v), n
 }
 
+// parseFloat reads a number of at most 19 digits (a lone integer 0 not
+// counted) with no exponent part, the shape of every weight
+// AppendRecord writes, in one pass: it checks the grammar while it
+// builds the decimal significand m, eight fraction digits per step
+// where eight are there, and counts the fraction digits k. The value
+// is m / 10^k correctly rounded, as strconv rounds it (FuzzParseFloat
+// holds it to strconv bit for bit). Any other number goes to
+// parseFloatSlow.
 func parseFloat(p []byte) (float64, int) {
+	i, neg := 0, len(p) > 0 && p[0] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	nd := 0 // digits in m
+	switch {
+	case i < len(p) && p[i] == '0':
+		i++
+	case i < len(p) && '1' <= p[i] && p[i] <= '9':
+		for ; i < len(p) && '0' <= p[i] && p[i] <= '9'; i++ {
+			m = m*10 + uint64(p[i]-'0')
+			nd++
+		}
+	default:
+		return 0, 0
+	}
+	k := 0
+	if i < len(p) && p[i] == '.' {
+		j := i + 1
+		for ; j+8 <= len(p); j += 8 {
+			v := binary.LittleEndian.Uint64(p[j:])
+			if !eightDigits(v) {
+				break
+			}
+			m = m*1e8 + parseEightDigits(v)
+		}
+		for ; j < len(p) && '0' <= p[j] && p[j] <= '9'; j++ {
+			m = m*10 + uint64(p[j]-'0')
+		}
+		if j == i+1 {
+			return 0, 0
+		}
+		k, i = j-i-1, j
+		nd += k
+	}
+	if nd > 19 || i < len(p) && (p[i] == 'e' || p[i] == 'E') {
+		return parseFloatSlow(p)
+	}
+	var v float64
+	if m < 1<<53 {
+		// Clinger's fast path: m and 10^k are exact float64s, so the
+		// division rounds once.
+		v = float64(m) / pow10[k]
+	} else {
+		v = divPow10(m, k)
+	}
+	if neg {
+		v = -v
+	}
+	return v, i
+}
+
+// parseFloatSlow is parseFloat for any JSON number: strconv of the
+// number's bytes.
+func parseFloatSlow(p []byte) (float64, int) {
 	n, _ := numberLen(p)
 	if n == 0 {
 		return 0, 0
@@ -252,6 +323,61 @@ func parseFloat(p []byte) (float64, int) {
 		return 0, 0
 	}
 	return v, n
+}
+
+// pow10 and pow10u hold 10^k, k = 0..19, as exact float64s and
+// uint64s.
+var (
+	pow10  [20]float64
+	pow10u [20]uint64
+)
+
+func init() {
+	pow10[0], pow10u[0] = 1, 1
+	for k := 1; k < len(pow10); k++ {
+		pow10[k], pow10u[k] = pow10[k-1]*10, pow10u[k-1]*10
+	}
+}
+
+// divPow10 is m / 10^k rounded to the nearest float64, ties to even,
+// for 2^53 <= m < 2^64 and k <= 19. It shifts m left by s so that the
+// quotient q of the 128-bit m·2^s by 10^k has 63 or 64 bits, keeps q's
+// top 53 bits and rounds on the bits it drops and the remainder r.
+// m / 10^k lies in [2^53/10^19, 2^64), so it is a normal float64.
+func divPow10(m uint64, k int) float64 {
+	d := pow10u[k]
+	s := uint(63 - bits.Len64(m) + bits.Len64(d))
+	q, r := bits.Div64(m>>(64-s)|m<<(s-64), m<<s, d)
+	drop := uint(bits.Len64(q) - 53)
+	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
+	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
+		mant++
+		if mant == 1<<53 {
+			mant >>= 1
+			drop++
+		}
+	}
+	// m / 10^k = mant·2^(drop−s) with 2^52 <= mant < 2^53.
+	exp := uint64(1023 + 52 + int(drop) - int(s))
+	return math.Float64frombits(exp<<52 | mant&(1<<52-1))
+}
+
+// eightDigits reports whether the eight bytes of v, read little-endian,
+// are all ASCII digits: each byte's high nibble must be 3, and adding 6
+// must keep it there.
+func eightDigits(v uint64) bool {
+	return v&0xf0f0f0f0f0f0f0f0|(v+0x0606060606060606)&0xf0f0f0f0f0f0f0f0>>4 == 0x3333333333333333
+}
+
+// parseEightDigits is the value of the eight ASCII digits in v, the
+// first digit in the low byte: one multiply-add forms the four
+// two-digit numbers, and two multiplies weight them by powers of 100
+// and sum them in the high 32 bits.
+func parseEightDigits(v uint64) uint64 {
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // byte 2i holds the two-digit number 10·d_2i + d_2i+1
+	const pair = 0x000000ff000000ff
+	return ((v&pair)*(100+1000000<<32) + (v>>16&pair)*(1+10000<<32)) >> 32
 }
 
 // numberLen is the length of the JSON number p starts with, 0 if it
