@@ -28,8 +28,10 @@
 // backlog, checkpoints the full engine state to -snapshot (atomic
 // write) and exits; a restart with the same flags finds the snapshot
 // and resumes exactly where it stopped, recovering any online
-// dispatch swap from the round log and replacing the log atomically
-// with its records up to the snapshot's round.
+// dispatch swap from the round log. A log whose records all precede
+// the snapshot's round and whose last line is whole, as a clean
+// shutdown leaves it, is appended to in place; any other is first
+// replaced atomically with its records before the snapshot's round.
 package main
 
 import (
@@ -190,22 +192,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The round log is write-ahead: on a fresh boot it restarts empty;
 	// on resume, records past the snapshot's round (stepped after the
 	// last checkpoint by a run that died uncheckpointed) are dropped so
-	// the log stays consecutive with what the engine will re-run. The
-	// kept records replace the log atomically, so a crash mid-rewrite
-	// leaves the old log whole.
+	// the log stays consecutive with what the engine will re-run.
 	var logFile *os.File
 	if *roundLog != "" {
 		if resumed {
-			// Engine resumes at the snapshot round; keep exactly the
-			// records before it.
-			keep := prevRecs
-			if next := rtNextRound(rt); next < len(keep) {
-				keep = keep[:next]
-			}
-			if err := rewriteRoundLog(*roundLog, keep); err != nil {
-				return err
-			}
-			logFile, err = os.OpenFile(*roundLog, os.O_WRONLY|os.O_APPEND, 0)
+			logFile, err = reopenRoundLog(*roundLog, prevRecs, rtNextRound(rt))
 		} else {
 			logFile, err = os.Create(*roundLog)
 		}
@@ -284,6 +275,48 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "snapshot:   %s (resume by restarting with the same flags)\n", *snapPath)
 	}
 	return nil
+}
+
+// reopenRoundLog opens the round log at path, which held recs, for a
+// run that resumes at round next. A log that keeps every record and
+// is empty or ends in a newline is synced and appended to in place,
+// so a clean restart costs no rewrite. Otherwise the records before
+// next replace it atomically first, so a crash mid-rewrite leaves the
+// old log whole, and a last line that lost its newline does not merge
+// with the next record.
+func reopenRoundLog(path string, recs []lb.RoundRecord, next int) (*os.File, error) {
+	if next >= len(recs) {
+		if f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0); err == nil {
+			if endsInNewline(f) {
+				if err := f.Sync(); err != nil {
+					f.Close()
+					return nil, err
+				}
+				return f, nil
+			}
+			f.Close()
+		}
+	} else {
+		recs = recs[:next]
+	}
+	if err := rewriteRoundLog(path, recs); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+}
+
+// endsInNewline reports whether f is empty or its last byte is '\n'.
+func endsInNewline(f *os.File) bool {
+	fi, err := f.Stat()
+	if err != nil {
+		return false
+	}
+	if fi.Size() == 0 {
+		return true
+	}
+	var last [1]byte
+	_, err = f.ReadAt(last[:], fi.Size()-1)
+	return err == nil && last[0] == '\n'
 }
 
 // rewriteRoundLog replaces the round log at path with recs: written

@@ -104,8 +104,9 @@ func parseArrived(t *testing.T, out string) int {
 // TestServeSIGTERMCheckpointResume is the graceful-shutdown e2e: a
 // SIGTERM mid-run drains the backlog, writes a snapshot the container
 // decoder validates and a consecutive round log, loses zero tasks, and
-// a reboot with the same flags resumes from the snapshot and carries
-// the counters forward.
+// a reboot with the same flags resumes from the snapshot, appends to
+// the same log file and carries the counters forward. A third boot
+// finds the log's last newline cut and rewrites the log.
 func TestServeSIGTERMCheckpointResume(t *testing.T) {
 	tmp := t.TempDir()
 	logPath := filepath.Join(tmp, "run.jsonl")
@@ -150,22 +151,29 @@ func TestServeSIGTERMCheckpointResume(t *testing.T) {
 	}
 	// The round log must parse, be consecutive (ReadRoundLog enforces
 	// it) and account for every ingested task.
-	f, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
+	checkLog := func(want int) (data []byte, fi os.FileInfo) {
+		t.Helper()
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := lb.ReadRoundLog(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("round log: %v", err)
+		}
+		logged := 0
+		for i := range recs {
+			logged += len(recs[i].Weights)
+		}
+		if logged != want {
+			t.Fatalf("round log records %d arrivals, ingested %d", logged, want)
+		}
+		if fi, err = os.Stat(logPath); err != nil {
+			t.Fatal(err)
+		}
+		return data, fi
 	}
-	recs, err := lb.ReadRoundLog(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("round log: %v", err)
-	}
-	logged := 0
-	for i := range recs {
-		logged += len(recs[i].Weights)
-	}
-	if logged != sent {
-		t.Fatalf("round log records %d arrivals, ingested %d", logged, sent)
-	}
+	firstLog, firstInfo := checkLog(sent)
 
 	// Reboot with the same flags: resume-on-boot.
 	s2 := startServer(t, args...)
@@ -185,6 +193,39 @@ func TestServeSIGTERMCheckpointResume(t *testing.T) {
 	total := sent + moreBatches*perBatch
 	if got := parseArrived(t, s2.out.String()); got != total {
 		t.Fatalf("resumed run arrived %d tasks, want %d across both runs\n%s", got, total, s2.out)
+	}
+	// The shutdown checkpoint follows the last logged round, so the
+	// reboot kept the log file and only appended to it.
+	secondLog, secondInfo := checkLog(total)
+	if !os.SameFile(firstInfo, secondInfo) {
+		t.Fatal("resume replaced a round log it kept whole")
+	}
+	if !bytes.HasPrefix(secondLog, firstLog) {
+		t.Fatalf("first run's log is not a prefix of the resumed run's:\n%s\nthen:\n%s", firstLog, secondLog)
+	}
+
+	// A last line that lost its newline would merge with the next
+	// record: resume rewrites the log, which reads back whole after
+	// one more round.
+	if err := os.WriteFile(logPath, secondLog[:len(secondLog)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cutInfo, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := startServer(t, args...)
+	ingestBatch(t, s3.url, []float64{3})
+	s3.stop(t)
+	if got := parseArrived(t, s3.out.String()); got != total+1 {
+		t.Fatalf("third run arrived %d tasks, want %d\n%s", got, total+1, s3.out)
+	}
+	thirdLog, thirdInfo := checkLog(total + 1)
+	if os.SameFile(cutInfo, thirdInfo) {
+		t.Fatal("resume appended to a round log whose last newline was cut")
+	}
+	if !bytes.HasPrefix(thirdLog, secondLog) {
+		t.Fatalf("rewritten log does not keep the earlier records:\n%s\nthen:\n%s", secondLog, thirdLog)
 	}
 }
 
