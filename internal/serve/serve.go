@@ -56,8 +56,9 @@ type Options struct {
 	// ErrBackpressure. Defaults to 1<<20 tasks.
 	MaxPending int
 	// LogWriter receives the round log, one JSONL record per stepped
-	// round, written ahead of the step. Nil keeps the log in memory
-	// only (Records).
+	// round, written ahead of the step in one Write. The runtime never
+	// syncs it: a record is on disk only once the writer's owner syncs
+	// it. Nil keeps the log in memory only (Records).
 	LogWriter io.Writer
 	// OnShutdown, when non-nil, receives the engine's checkpoint bytes
 	// after the shutdown drain — the SIGTERM persistence hook. The
@@ -218,9 +219,10 @@ func (rt *Runtime) StepRound() error {
 			return err
 		}
 	}
-	// The record is durable before the round runs, so a crash mid-round
-	// can at worst replay a round that never completed — never lose one
-	// that did.
+	// The record is written ahead of the round, in one Write to
+	// LogWriter. Nothing on this path syncs it: it reaches disk only
+	// when the writer's owner syncs it, so a crash can still lose the
+	// last records written (ROADMAP item 7).
 	if rt.opts.LogWriter != nil {
 		if err := AppendRecord(rt.opts.LogWriter, &rec); err != nil {
 			return fmt.Errorf("serve: round log: %w", err)
