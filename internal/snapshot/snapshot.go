@@ -192,18 +192,6 @@ func (e *Encoder) Int32(v int32) { e.buf = binary.LittleEndian.AppendUint32(e.bu
 // Float64 appends the exact IEEE-754 bit pattern of v.
 func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) Bytes(b []byte) {
-	e.Uint32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uint32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
 // Ints appends a length-prefixed []int.
 func (e *Encoder) Ints(s []int) {
 	e.Uint32(uint32(len(s)))
@@ -217,14 +205,6 @@ func (e *Encoder) Int32s(s []int32) {
 	e.Uint32(uint32(len(s)))
 	for _, v := range s {
 		e.Int32(v)
-	}
-}
-
-// Int64s appends a length-prefixed []int64.
-func (e *Encoder) Int64s(s []int64) {
-	e.Uint32(uint32(len(s)))
-	for _, v := range s {
-		e.Int64(v)
 	}
 }
 
@@ -350,9 +330,6 @@ type Section struct {
 	err  error
 }
 
-// Name returns the section's name.
-func (s *Section) Name() string { return s.name }
-
 // Err returns the first read error, if any.
 func (s *Section) Err() error { return s.err }
 
@@ -455,18 +432,6 @@ func (s *Section) count(elemSize int) int {
 	return n
 }
 
-// Bytes reads a length-prefixed byte string (aliasing the payload).
-func (s *Section) Bytes() []byte {
-	n := s.count(1)
-	if s.err != nil {
-		return nil
-	}
-	return s.take(n)
-}
-
-// String reads a length-prefixed string.
-func (s *Section) String() string { return string(s.Bytes()) }
-
 // Ints reads a length-prefixed []int into dst[:0].
 func (s *Section) Ints(dst []int) []int {
 	n := s.count(8)
@@ -483,16 +448,6 @@ func (s *Section) Int32s(dst []int32) []int32 {
 	dst = dst[:0]
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Int32())
-	}
-	return dst
-}
-
-// Int64s reads a length-prefixed []int64 into dst[:0].
-func (s *Section) Int64s(dst []int64) []int64 {
-	n := s.count(8)
-	dst = dst[:0]
-	for i := 0; i < n && s.err == nil; i++ {
-		dst = append(dst, s.Int64())
 	}
 	return dst
 }
