@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,7 +172,7 @@ func FuzzParseFloat(f *testing.F) {
 		"1125899906842624.125", "562949953421312.0625",
 		// Rounding up to a power of two: a tie and a nearer neighbour.
 		"9007199254740991.5", "1.9999999999999999", "0.99999999999999999",
-		// 2^53 - 1, 2^53 and 2^53 + 1 with a fraction.
+		// 2^53 − 1, 2^53, and m = 2^53 + 1 with one fraction digit.
 		"9007199254740991", "9007199254740992", "900719925474099.3",
 		// Significands of 16, 17, 19 and 20 digits.
 		"1.234567890123456", "19.999999999999996", "1.234567890123456789", "1.2345678901234567891",
@@ -250,7 +251,7 @@ func TestParseFloatTable(t *testing.T) {
 		} else {
 			j := 53 - e
 			b = strconv.AppendUint(b[:0], odd*uint64(math.Pow(5, float64(j))), 10)
-			b = append(b[:len(b)-j], append([]byte{'.'}, b[len(b)-j:]...)...)
+			b = slices.Insert(b, len(b)-j, '.')
 		}
 		check(b)
 	}
