@@ -144,23 +144,9 @@ func sameRecord(a, b RoundRecord) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// strconvFloat is the reference for parseFloat: the JSON number's
-// length by numberLen, its value by strconv.ParseFloat, and 0, 0 where
-// either rejects it.
-func strconvFloat(p []byte) (float64, int) {
-	n, _ := numberLen(p)
-	if n == 0 {
-		return 0, 0
-	}
-	v, err := strconv.ParseFloat(string(p[:n]), 64)
-	if err != nil {
-		return 0, 0
-	}
-	return v, n
-}
-
-// FuzzParseFloat holds parseFloat to strconvFloat: for any bytes, the
-// same length and the same bits. Run with
+// FuzzParseFloat holds parseFloat to parseFloatSlow, numberLen and
+// strconv.ParseFloat: for any bytes, the same length and the same
+// bits. Run with
 //
 //	go test -run '^$' -fuzz '^FuzzParseFloat$' -fuzztime 30s ./internal/serve
 func FuzzParseFloat(f *testing.F) {
@@ -191,7 +177,7 @@ func FuzzParseFloat(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		got, n := parseFloat(p)
-		want, wantN := strconvFloat(p)
+		want, wantN := parseFloatSlow(p)
 		if n != wantN || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%q: parseFloat gives %v (%#x) length %d, strconv %v (%#x) length %d",
 				p, got, math.Float64bits(got), n, want, math.Float64bits(want), wantN)
@@ -212,7 +198,7 @@ func TestParseFloatTable(t *testing.T) {
 	check := func(b []byte) float64 {
 		t.Helper()
 		got, n := parseFloat(b)
-		want, wantN := strconvFloat(b)
+		want, wantN := parseFloatSlow(b)
 		if n != len(b) || wantN != len(b) || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%q: parseFloat gives %v (%#x) length %d, strconv %v (%#x) length %d",
 				b, got, math.Float64bits(got), n, want, math.Float64bits(want), wantN)

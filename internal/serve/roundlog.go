@@ -312,7 +312,7 @@ func parseFloat(p []byte) (float64, int) {
 }
 
 // parseFloatSlow is parseFloat for any JSON number: strconv of the
-// number's bytes.
+// number's bytes. The tests hold parseFloat to it.
 func parseFloatSlow(p []byte) (float64, int) {
 	n, _ := numberLen(p)
 	if n == 0 {
