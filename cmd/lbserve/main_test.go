@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -285,6 +286,86 @@ func TestRewriteRoundLog(t *testing.T) {
 		t.Fatalf("rewritten log mode %v, want the old log's 0640", fi.Mode())
 	}
 	onlyLog()
+}
+
+// TestReopenRoundLog: resume appends to a log that holds no record
+// past the snapshot's round and ends in a newline, in place, and
+// rewrites any other with the records before that round. Each case
+// then logs the snapshot's round, and the log must read back
+// consecutive.
+func TestReopenRoundLog(t *testing.T) {
+	recs := []lb.RoundRecord{
+		{Round: 0, Weights: []float64{1, 2.5}},
+		{Round: 1, Down: []int{3}, Dispatch: "power-of-2"},
+		{Round: 2, Weights: []float64{7}},
+	}
+	logOf := func(recs []lb.RoundRecord) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := lb.WriteRoundLog(&b, recs); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	whole := logOf(recs)
+	for _, tc := range []struct {
+		name    string
+		log     []byte // nil: no log file
+		next    int
+		kept    []lb.RoundRecord
+		inPlace bool
+	}{
+		{"whole", whole, 3, recs, true},
+		{"empty", []byte{}, 0, nil, true},
+		{"records past the snapshot", whole, 2, recs[:2], false},
+		{"last newline cut", whole[:len(whole)-1], 3, recs, false},
+		{"no log", nil, 0, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			var read []lb.RoundRecord
+			var before os.FileInfo
+			if tc.log != nil {
+				if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if read, err = lb.ReadRoundLog(bytes.NewReader(tc.log)); err != nil {
+					t.Fatal(err)
+				}
+				if before, err = os.Stat(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := reopenRoundLog(path, read, tc.next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := lb.RoundRecord{Round: tc.next, Weights: []float64{4}}
+			if err := lb.WriteRoundLog(f, []lb.RoundRecord{next}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := logOf(append(slices.Clone(tc.kept), next)); !bytes.Equal(got, want) {
+				t.Fatalf("log after one more round:\n%s\nwant:\n%s", got, want)
+			}
+			if before != nil {
+				after, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if os.SameFile(before, after) != tc.inPlace {
+					t.Fatalf("log kept in place: %v, want %v", !tc.inPlace, tc.inPlace)
+				}
+			}
+		})
+	}
 }
 
 // slowWriter stalls every write, as a stdout piped to a slow log
