@@ -279,11 +279,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // reopenRoundLog opens the round log at path, which held recs, for a
 // run that resumes at round next. A log that keeps every record and
-// is empty or ends in a newline is synced and appended to in place,
-// so a clean restart costs no rewrite. Otherwise the records before
-// next replace it atomically first, so a crash mid-rewrite leaves the
-// old log whole, and a last line that lost its newline does not merge
-// with the next record.
+// is empty or ends in a newline is synced, with its directory, and
+// appended to in place, so a clean restart costs no rewrite.
+// Otherwise the records before next replace it atomically first, so a
+// crash mid-rewrite leaves the old log whole, and a last line that
+// lost its newline does not merge with the next record.
 func reopenRoundLog(path string, recs []lb.RoundRecord, next int) (*os.File, error) {
 	if next >= len(recs) {
 		if f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0); err == nil {
@@ -292,6 +292,7 @@ func reopenRoundLog(path string, recs []lb.RoundRecord, next int) (*os.File, err
 					f.Close()
 					return nil, err
 				}
+				syncDir(path)
 				return f, nil
 			}
 			f.Close()
@@ -356,11 +357,18 @@ func rewriteRoundLog(path string, recs []lb.RoundRecord) (err error) {
 	if err := os.Rename(f.Name(), path); err != nil {
 		return err
 	}
+	syncDir(path)
+	return nil
+}
+
+// syncDir syncs the directory that holds path, so that the file's
+// entry there outlives a power loss. It is best effort, as in
+// snapshot.WriteFileAtomic.
+func syncDir(path string) {
 	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // rtNextRound reads the runtime's next round via its stats snapshot.
