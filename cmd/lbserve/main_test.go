@@ -22,6 +22,7 @@ import (
 	"time"
 
 	lb "repro"
+	"repro/internal/rng"
 	"repro/internal/snapshot"
 )
 
@@ -363,6 +364,52 @@ func TestReopenRoundLog(t *testing.T) {
 				if os.SameFile(before, after) != tc.inPlace {
 					t.Fatalf("log kept in place: %v, want %v", !tc.inPlace, tc.inPlace)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkReopenRoundLog: what a resumed lbserve does to its round
+// log before the first round, on a serve-live-sized log (1,539 rounds
+// of 300 Pareto(2) weights capped at 20, 8.6 MB, the log
+// BenchmarkReadRoundLog reads). Each op first writes the log afresh
+// and unsynced, as a clean shutdown leaves it, outside the timer.
+// whole resumes after the last record, so the log is kept in place;
+// cut resumes one round earlier, so the log is rewritten.
+func BenchmarkReopenRoundLog(b *testing.B) {
+	r := rng.NewSeeded(0x5e7e)
+	recs := make([]lb.RoundRecord, 1539)
+	for i := range recs {
+		w := make([]float64, 300)
+		for j := range w {
+			w[j] = math.Min(r.Pareto(1, 2), 20)
+		}
+		recs[i] = lb.RoundRecord{Round: i, Weights: w}
+	}
+	var log bytes.Buffer
+	if err := lb.WriteRoundLog(&log, recs); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "run.jsonl")
+	for _, bc := range []struct {
+		name string
+		next int
+	}{
+		{"whole", len(recs)},
+		{"cut", len(recs) - 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				f, err := reopenRoundLog(path, recs, bc.next)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Close()
 			}
 		})
 	}
