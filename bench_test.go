@@ -12,6 +12,8 @@ package thresholdlb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -763,8 +765,8 @@ func BenchmarkLiveIngest10k(b *testing.B) {
 // roundLogBench is a serve-live-sized round log: 1,539 rounds (one
 // perfbench serve-live life) of 300 weights (three 100-task batches)
 // drawn from Pareto(2) and capped at 20, as AppendRecord writes it.
-func roundLogBench(b *testing.B) ([]serve.RoundRecord, []byte) {
-	b.Helper()
+func roundLogBench(tb testing.TB) ([]serve.RoundRecord, []byte) {
+	tb.Helper()
 	r := rng.NewSeeded(0x5e7e)
 	recs := make([]serve.RoundRecord, 1539)
 	var buf bytes.Buffer
@@ -775,10 +777,22 @@ func roundLogBench(b *testing.B) ([]serve.RoundRecord, []byte) {
 		}
 		recs[i] = serve.RoundRecord{Round: i, Weights: w}
 		if err := serve.AppendRecord(&buf, &recs[i]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return recs, buf.Bytes()
+}
+
+// TestRoundLogBenchBytes pins the bytes of roundLogBench's log, which
+// AppendRecord writes: 461,700 weights, each the shortest decimal that
+// reads back to it. The digest was recorded while strconv formatted
+// every weight.
+func TestRoundLogBenchBytes(t *testing.T) {
+	_, log := roundLogBench(t)
+	const want = "22f306ee3edcfa3f3db5c00819ea64de23df9577b0cb7e88821cded2405855f6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(log)); got != want {
+		t.Fatalf("round log SHA-256 %s, want %s", got, want)
+	}
 }
 
 // BenchmarkReadRoundLog: the read a live-runtime resume makes of its

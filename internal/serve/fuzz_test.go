@@ -266,3 +266,85 @@ func TestParseFloatTable(t *testing.T) {
 		check(b)
 	}
 }
+
+// FuzzAppendFloat holds appendFloat to appendFloatSlow, strconv,
+// byte for byte: for the float64 with the given bits, and for the one
+// with the same fraction bits moved into [1, 2^53), the exact pass's
+// domain. Run with
+//
+//	go test -run '^$' -fuzz '^FuzzAppendFloat$' -fuzztime 30s ./internal/serve
+func FuzzAppendFloat(f *testing.F) {
+	for _, w := range []float64{
+		// Serve-live's weights: the Pareto cap and 17-digit draws.
+		1, 20, 1.0000000000000002, 1.8102938282746233, 19.999999999999996,
+		// Short decimals, as clients send them.
+		2.5, 19.99, 1.1, 3.3, 7.001, 0.1,
+		// Below 2^53 with one fraction bit; 2^53 − 1, 2^53 and 2^53 + 2.
+		4503599627370496.5, 9007199254740991, 9007199254740992, 9007199254740994,
+		// Outside the domain: zeros, negatives, exponent forms, NaN, ±Inf.
+		0, math.Copysign(0, -1), -1.5, 1e-7, 5e-324, 1e21, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(math.Float64bits(w))
+	}
+	// Powers of two, whose lower neighbour is nearer than the upper,
+	// and their neighbours.
+	for _, e := range []int{0, 1, 3, 10, 26, 52, 53} {
+		p := math.Ldexp(1, e)
+		f.Add(math.Float64bits(p))
+		f.Add(math.Float64bits(math.Nextafter(p, 0)))
+		f.Add(math.Float64bits(math.Nextafter(p, math.Inf(1))))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		inDomain := (1023+bits>>52%53)<<52 | bits&(1<<52-1)
+		for _, w := range []float64{math.Float64frombits(bits), math.Float64frombits(inDomain)} {
+			got, want := appendFloat(nil, w), appendFloatSlow(nil, w)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v (%#x): appendFloat writes %q, strconv %q", w, math.Float64bits(w), got, want)
+			}
+		}
+	})
+}
+
+// TestAppendFloatTable holds appendFloat to appendFloatSlow, byte for
+// byte, on ~200k numbers: weights shaped like serve-live's (Pareto(2)
+// draws capped at 20); random bit patterns inside [1, 2^53), the
+// exact pass's domain, and anywhere; every power of two 2^e,
+// e = 0..53, and its neighbours on either side; integers up to 2^53;
+// and short decimals k/10^j, the weights clients send.
+func TestAppendFloatTable(t *testing.T) {
+	r := rng.NewSeeded(0xa99f)
+	var got, want []byte
+	check := func(w float64) {
+		t.Helper()
+		got, want = appendFloat(got[:0], w), appendFloatSlow(want[:0], w)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v (%#x): appendFloat writes %q, strconv %q", w, math.Float64bits(w), got, want)
+		}
+	}
+	for range 100_000 {
+		check(math.Min(r.Pareto(1, 2), 20))
+	}
+	for range 40_000 {
+		check(math.Float64frombits(uint64(1023+r.Intn(53))<<52 | r.Uint64()>>12))
+	}
+	for range 20_000 {
+		check(math.Float64frombits(r.Uint64()))
+	}
+	for e := 0; e <= 53; e++ {
+		p := math.Ldexp(1, e)
+		check(p)
+		check(math.Nextafter(p, 0))
+		check(math.Nextafter(p, math.Inf(1)))
+	}
+	for k := range 1000 {
+		check(float64(k))
+	}
+	for range 20_000 {
+		check(float64(r.Uint64() >> (11 + r.Intn(53))))
+	}
+	for range 20_000 {
+		j := 1 + r.Intn(3)
+		check(float64(1+r.Intn(100*int(pow10u[j]))) / pow10[j])
+	}
+}

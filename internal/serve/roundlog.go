@@ -92,6 +92,12 @@ func AppendRecord(w io.Writer, rec *RoundRecord) error {
 // decimal that parses back to w, in exponent form below 1e-6 and from
 // 1e21, with no leading zero in a negative exponent.
 func appendFloat(b []byte, w float64) []byte {
+	return appendFloatSlow(b, w)
+}
+
+// appendFloatSlow is appendFloat through strconv. The tests hold
+// appendFloat to it.
+func appendFloatSlow(b []byte, w float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(w); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
