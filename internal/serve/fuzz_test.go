@@ -348,3 +348,35 @@ func TestAppendFloatTable(t *testing.T) {
 		check(float64(1+r.Intn(100*int(pow10u[j]))) / pow10[j])
 	}
 }
+
+// BenchmarkAppendFloat times appendFloat against appendFloatSlow
+// (strconv) on two kinds of weight: pareto, serve-live's Pareto(2)
+// draws capped at 20, nearly all of them 17 digits long, and short,
+// integers and decimals with one to three places such as 2.5 and
+// 19.99, the weights lbserve's clients send. One op formats one
+// weight.
+func BenchmarkAppendFloat(b *testing.B) {
+	r := rng.NewSeeded(0x5e7e)
+	pareto, short := make([]float64, 4096), make([]float64, 4096)
+	for i := range pareto {
+		pareto[i] = math.Min(r.Pareto(1, 2), 20)
+		j := r.Intn(4)
+		short[i] = float64(int(pow10u[j])+r.Intn(19*int(pow10u[j]))) / pow10[j]
+	}
+	for _, ws := range []struct {
+		name string
+		ws   []float64
+	}{{"pareto", pareto}, {"short", short}} {
+		for _, format := range []struct {
+			name string
+			f    func([]byte, float64) []byte
+		}{{"exact", appendFloat}, {"strconv", appendFloatSlow}} {
+			b.Run(ws.name+"/"+format.name, func(b *testing.B) {
+				buf := make([]byte, 0, 32)
+				for i := 0; i < b.N; i++ {
+					buf = format.f(buf[:0], ws.ws[i%len(ws.ws)])
+				}
+			})
+		}
+	}
+}

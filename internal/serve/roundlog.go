@@ -58,14 +58,23 @@ type RoundRecord struct {
 // a newline. A NaN or infinite weight fails as json.Marshal does, and
 // nothing is written.
 func AppendRecord(w io.Writer, rec *RoundRecord) error {
-	b := make([]byte, 0, 64+20*len(rec.Weights))
+	b, err := appendRecord(make([]byte, 0, 64+20*len(rec.Weights)), rec)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendRecord appends AppendRecord's line for rec to b.
+func appendRecord(b []byte, rec *RoundRecord) ([]byte, error) {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendInt(b, int64(rec.Round), 10)
 	if len(rec.Weights) > 0 {
 		b = append(b, `,"w":[`...)
 		for i, w := range rec.Weights {
 			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return &json.UnsupportedValueError{Value: reflect.ValueOf(w), Str: strconv.FormatFloat(w, 'g', -1, 64)}
+				return b, &json.UnsupportedValueError{Value: reflect.ValueOf(w), Str: strconv.FormatFloat(w, 'g', -1, 64)}
 			}
 			if i > 0 {
 				b = append(b, ',')
@@ -79,20 +88,118 @@ func AppendRecord(w io.Writer, rec *RoundRecord) error {
 	if rec.Dispatch != "" {
 		s, err := json.Marshal(rec.Dispatch)
 		if err != nil {
-			return err
+			return b, err
 		}
 		b = append(b, `,"dispatch":`...)
 		b = append(b, s...)
 	}
-	_, err := w.Write(append(b, '}', '\n'))
-	return err
+	return append(b, '}', '\n'), nil
 }
 
 // appendFloat formats a finite w as encoding/json does: the shortest
 // decimal that parses back to w, in exponent form below 1e-6 and from
-// 1e21, with no leading zero in a negative exponent.
+// 1e21, with no leading zero in a negative exponent. A w in [1, 2^53),
+// every valid task weight below 2^53, takes one exact pass that makes
+// strconv's choices; any other goes to appendFloatSlow, and
+// FuzzAppendFloat holds the pass to it byte for byte.
+//
+// The pass writes w = m·2^-s, m the 53-bit significand, and prints an
+// integer w as one, as strconv does. Every power of two in [1, 2^53)
+// is an integer, so the rest have neighbouring float64s at the same
+// distance on either side. For them s >= 1, and w scaled by 10^q, the
+// least power of ten above 2^(s+1), is c + frac/2^s; one Mul64 forms
+// m·10^q. The midpoints to the neighbours, (2m∓1)·10^q/2^(s+1), lie
+// h/2^s = 10^q/2^(s+1), 1 to 10 units, below and above it. A midpoint
+// has s+1 binary places and q < s+1, so none is a multiple of 10^-q:
+// the numbers at this scale that read back as w are exactly l..u, the
+// ceiling and floor of the midpoints. The shortest of them is then
+// taken as strconv's ryuDigits32 takes it.
 func appendFloat(b []byte, w float64) []byte {
-	return appendFloatSlow(b, w)
+	fb := math.Float64bits(w)
+	s := 1075 - fb>>52
+	if s > 52 {
+		return appendFloatSlow(b, w)
+	}
+	m := fb&(1<<52-1) | 1<<52
+	if m&(1<<s-1) == 0 {
+		return strconv.AppendUint(b, m>>s, 10)
+	}
+	q := int(s+1)*78913>>18 + 1 // floor((s+1)·log10 2) + 1
+	h := pow10u[q] / 2
+	hi, lo := bits.Mul64(m, pow10u[q])
+	lo1, borrow := bits.Sub64(lo, h, 0)
+	lo2, carry := bits.Add64(lo, h, 0)
+	c := hi<<(64-s) | lo>>s
+	l := ((hi-borrow)<<(64-s) | lo1>>s) + 1
+	u := (hi+carry)<<(64-s) | lo2>>s
+	frac := lo & (1<<s - 1)
+	f := q // digits after the point
+	switch {
+	case (l+99)/100 <= u/100:
+		// u-l < 20, so l..u holds one multiple of 100: strconv's
+		// trimming ends on it, however c rounds. It is below 10^16,
+		// so it has at most 15 trailing zeros.
+		c, f = (l+99)/100, f-2
+		if c%1e8 == 0 {
+			c, f = c/1e8, f-8
+		}
+		if c%1e4 == 0 {
+			c, f = c/1e4, f-4
+		}
+		if c%100 == 0 {
+			c, f = c/100, f-2
+		}
+		if c%10 == 0 {
+			c, f = c/10, f-1
+		}
+	case (l+9)/10 <= u/10:
+		// One digit off: a c that truncates to below l moves up to
+		// l, as ryuDigits32's guard moves it; otherwise c rounds half
+		// to even, and never past u.
+		d := c % 10
+		c, f = c/10, f-1
+		if l1 := (l + 9) / 10; l1 == c+1 {
+			c, d = l1, 0
+		}
+		if (d > 5 || d == 5 && (frac != 0 || c&1 == 1)) && c < u/10 {
+			c++
+		}
+	default:
+		if half := uint64(1) << (s - 1); (frac > half || frac == half && c&1 == 1) && c < u {
+			c++
+		}
+	}
+	// c has f >= 1 digits after the point and no trailing zero: a
+	// number in l..u is not an integer, and one that ended in 0 would
+	// be in the interval one digit up.
+	var buf [24]byte
+	i := len(buf)
+	for ; f > 1; f -= 2 {
+		i -= 2
+		buf[i], buf[i+1] = digitPair(c % 100)
+		c /= 100
+	}
+	if f == 1 {
+		i--
+		buf[i] = byte('0' + c%10)
+		c /= 10
+	}
+	i--
+	buf[i] = '.'
+	for ; c >= 10; c /= 100 {
+		i -= 2
+		buf[i], buf[i+1] = digitPair(c % 100)
+	}
+	if c > 0 {
+		i--
+		buf[i] = byte('0' + c)
+	}
+	return append(b, buf[i:]...)
+}
+
+// digitPair is the two decimal digits of d < 100.
+func digitPair(d uint64) (byte, byte) {
+	return byte('0' + d/10), byte('0' + d%10)
 }
 
 // appendFloatSlow is appendFloat through strconv. The tests hold

@@ -103,8 +103,9 @@ type Stats struct {
 // a single caller, and Finish/Checkpoint/Records only run once
 // stepping has stopped.
 type Runtime struct {
-	eng  *dynamic.Engine
-	opts Options
+	eng    *dynamic.Engine
+	opts   Options
+	logBuf []byte // StepRound's log line, reused every round
 
 	mu       sync.Mutex
 	pending  []float64 // admitted weights awaiting their round
@@ -224,7 +225,11 @@ func (rt *Runtime) StepRound() error {
 	// when the writer's owner syncs it, so a crash can still lose the
 	// last records written (ROADMAP item 7).
 	if rt.opts.LogWriter != nil {
-		if err := AppendRecord(rt.opts.LogWriter, &rec); err != nil {
+		var err error
+		if rt.logBuf, err = appendRecord(rt.logBuf[:0], &rec); err == nil {
+			_, err = rt.opts.LogWriter.Write(rt.logBuf)
+		}
+		if err != nil {
 			return fmt.Errorf("serve: round log: %w", err)
 		}
 	}

@@ -128,6 +128,52 @@ func TestRoundLogFullBacklogRecord(t *testing.T) {
 	}
 }
 
+// TestStepRoundLogBuffer: StepRound writes each record as AppendRecord
+// writes it, one line per round, formatted into a buffer the runtime
+// keeps, so once that buffer has grown to a round's size formatting the
+// line allocates nothing.
+func TestStepRoundLogBuffer(t *testing.T) {
+	var log bytes.Buffer
+	rt := testRuntime(t, Options{LogWriter: &log})
+	r := rng.NewSeeded(11)
+	batch := make([]float64, 300)
+	for round := range 3 {
+		for i := range batch {
+			batch[i] = min(r.Pareto(1, 2), 20)
+		}
+		if _, err := rt.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if round == 1 {
+			if err := rt.Reconfigure([]int{3}, nil, "power-of-2"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.StepRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want bytes.Buffer
+	for _, rec := range rt.Records() {
+		if err := AppendRecord(&want, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(log.Bytes(), want.Bytes()) {
+		t.Fatalf("StepRound logged:\n%s\nAppendRecord writes:\n%s", log.Bytes(), want.Bytes())
+	}
+	if len(rt.logBuf) == 0 || !bytes.HasSuffix(log.Bytes(), rt.logBuf) {
+		t.Fatalf("the runtime's buffer holds %q, not the last line logged", rt.logBuf)
+	}
+
+	rec := rt.Records()[0]
+	if n := testing.AllocsPerRun(100, func() {
+		rt.logBuf, _ = appendRecord(rt.logBuf[:0], &rec)
+	}); n != 0 {
+		t.Fatalf("appendRecord into the runtime's warm buffer: %v allocs, want 0", n)
+	}
+}
+
 func TestRecoverDispatch(t *testing.T) {
 	recs := []RoundRecord{
 		{Round: 0},
