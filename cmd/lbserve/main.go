@@ -31,7 +31,10 @@
 // dispatch swap from the round log. A log whose records all precede
 // the snapshot's round and whose last line is whole, as a clean
 // shutdown leaves it, is appended to in place; any other is first
-// replaced atomically with its records before the snapshot's round.
+// replaced atomically with its records before the snapshot's round. A
+// log that is missing or ends before the snapshot's round stops the
+// boot with an error and is left as it was: the rounds it lacks are
+// lost, and a log continued past them could never be read back.
 package main
 
 import (
@@ -185,6 +188,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("resuming from %s: %w", *snapPath, err)
 			}
+			defer rt.Close()
 			resumed = true
 		}
 	}
@@ -192,7 +196,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The round log is write-ahead: on a fresh boot it restarts empty;
 	// on resume, records past the snapshot's round (stepped after the
 	// last checkpoint by a run that died uncheckpointed) are dropped so
-	// the log stays consecutive with what the engine will re-run.
+	// the log stays consecutive with what the engine will re-run, and a
+	// log that ends before that round is refused.
 	var logFile *os.File
 	if *roundLog != "" {
 		if resumed {
@@ -211,12 +216,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if rt, err = sc.LiveRuntime(opts); err != nil {
 			return err
 		}
+		defer rt.Close()
 	} else if logFile != nil {
 		// The resumed runtime was built before the log file reopened;
 		// re-wrap it with the writer attached.
 		rt.SetLogWriter(logFile)
 	}
-	defer rt.Close()
 
 	// One mux serves the front door and the observability endpoints.
 	exp := lb.NewObsExporter(sc.Obs, 8192)
@@ -278,14 +283,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // reopenRoundLog opens the round log at path, which held recs, for a
-// run that resumes at round next. A log that keeps every record and
-// is empty or ends in a newline is synced, with its directory, and
-// appended to in place, so a clean restart costs no rewrite.
-// Otherwise the records before next replace it atomically first, so a
-// crash mid-rewrite leaves the old log whole, and a last line that
-// lost its newline does not merge with the next record.
+// run that resumes at round next. A log with fewer than next records,
+// or a missing one when next > 0, is refused before any file is
+// opened. A log that keeps
+// every record and is empty or ends in a newline is synced, with its
+// directory, and appended to in place, so a clean restart costs no
+// rewrite. Otherwise the records before next replace it atomically
+// first, so a crash mid-rewrite leaves the old log whole, and a last
+// line that lost its newline does not merge with the next record.
 func reopenRoundLog(path string, recs []lb.RoundRecord, next int) (*os.File, error) {
-	if next >= len(recs) {
+	if len(recs) < next {
+		return nil, fmt.Errorf("round log %s holds %d records, but the snapshot resumes at round %d", path, len(recs), next)
+	}
+	if next == len(recs) {
 		if f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0); err == nil {
 			if endsInNewline(f) {
 				if err := f.Sync(); err != nil {

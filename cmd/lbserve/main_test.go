@@ -231,6 +231,68 @@ func TestServeSIGTERMCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestServeRefusesShortRoundLog: a reboot whose round log was deleted
+// after a SIGTERM must not resume with it, or it would log the
+// snapshot's round after nothing and the next boot could not read the
+// log. It fails, naming the log, its record count and the snapshot's
+// round, and leaves the snapshot as it was and no log. Without
+// -roundlog the same snapshot still resumes.
+func TestServeRefusesShortRoundLog(t *testing.T) {
+	tmp := t.TempDir()
+	logPath := filepath.Join(tmp, "run.jsonl")
+	snapPath := filepath.Join(tmp, "lbserve.snap")
+	args := []string{
+		"-addr", "127.0.0.1:0", "-graph", "complete", "-n", "32",
+		"-proto", "user", "-seed", "5", "-workers", "1",
+		"-max-rounds", "4096", "-batch", "8", "-max-interval", "2ms",
+		"-snapshot", snapPath,
+	}
+	s := startServer(t, append(args, "-roundlog", logPath)...)
+	ingestBatch(t, s.url, []float64{1, 2, 3, 4})
+	s.stop(t)
+	m := regexp.MustCompile(`stopped at round (\d+)`).FindStringSubmatch(s.out.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("first run stepped no round:\n%s", s.out)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(logPath); err != nil {
+		t.Fatal(err)
+	}
+
+	booted := make(chan struct{}, 1)
+	readyHook = func(string) { booted <- struct{}{} }
+	errc := make(chan error, 1)
+	go func() { errc <- run(append(args, "-roundlog", logPath), io.Discard, io.Discard) }()
+	select {
+	case err = <-errc:
+	case <-booted:
+		syscall.Kill(os.Getpid(), syscall.SIGTERM)
+		<-errc
+		t.Fatal("lbserve resumed from a snapshot whose round log is gone")
+	case <-time.After(10 * time.Second):
+		t.Fatal("boot without the round log neither failed nor served")
+	}
+	want := fmt.Sprintf("round log %s holds 0 records, but the snapshot resumes at round %s", logPath, m[1])
+	if err == nil || err.Error() != want {
+		t.Fatalf("boot without the round log: %v, want %q", err, want)
+	}
+	if got, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("refused boot changed the snapshot (%v)", err)
+	}
+	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
+		t.Fatalf("refused boot left a round log behind: %v", err)
+	}
+
+	s2 := startServer(t, args...)
+	if !strings.Contains(s2.out.String(), "resumed at round "+m[1]) {
+		t.Fatalf("boot without -roundlog did not resume at round %s:\n%s", m[1], s2.out)
+	}
+	s2.stop(t)
+}
+
 // TestRewriteRoundLog: resume replaces the round log with the records
 // it keeps, and a rewrite that fails midway leaves the old log whole.
 func TestRewriteRoundLog(t *testing.T) {
@@ -293,7 +355,8 @@ func TestRewriteRoundLog(t *testing.T) {
 // past the snapshot's round and ends in a newline, in place, and
 // rewrites any other with the records before that round. Each case
 // then logs the snapshot's round, and the log must read back
-// consecutive.
+// consecutive. A log that ends before the snapshot's round, or is
+// missing, is refused, and the directory is left as it was.
 func TestReopenRoundLog(t *testing.T) {
 	recs := []lb.RoundRecord{
 		{Round: 0, Weights: []float64{1, 2.5}},
@@ -315,15 +378,19 @@ func TestReopenRoundLog(t *testing.T) {
 		next    int
 		kept    []lb.RoundRecord
 		inPlace bool
+		refused bool
 	}{
-		{"whole", whole, 3, recs, true},
-		{"empty", []byte{}, 0, nil, true},
-		{"records past the snapshot", whole, 2, recs[:2], false},
-		{"last newline cut", whole[:len(whole)-1], 3, recs, false},
-		{"no log", nil, 0, nil, false},
+		{"whole", whole, 3, recs, true, false},
+		{"empty", []byte{}, 0, nil, true, false},
+		{"records past the snapshot", whole, 2, recs[:2], false, false},
+		{"last newline cut", whole[:len(whole)-1], 3, recs, false, false},
+		{"no log", nil, 0, nil, false, false},
+		{"short log", logOf(recs[:2]), 3, nil, false, true},
+		{"no log past round 0", nil, 3, nil, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "run.jsonl")
+			dir := t.TempDir()
+			path := filepath.Join(dir, "run.jsonl")
 			var read []lb.RoundRecord
 			var before os.FileInfo
 			if tc.log != nil {
@@ -339,6 +406,23 @@ func TestReopenRoundLog(t *testing.T) {
 				}
 			}
 			f, err := reopenRoundLog(path, read, tc.next)
+			if tc.refused {
+				want := fmt.Sprintf("round log %s holds %d records, but the snapshot resumes at round %d", path, len(read), tc.next)
+				if err == nil || err.Error() != want {
+					t.Fatalf("reopen: %v, want %q", err, want)
+				}
+				ents, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch got, rerr := os.ReadFile(path); {
+				case tc.log == nil && len(ents) != 0:
+					t.Fatalf("refused resume left %v in the directory, want nothing", ents)
+				case tc.log != nil && (len(ents) != 1 || rerr != nil || !bytes.Equal(got, tc.log)):
+					t.Fatalf("refused resume changed the directory to %v, log %q (%v)", ents, got, rerr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
