@@ -27,16 +27,21 @@ import (
 // parses back to the same float64).
 //
 // The runtime formats and parses its own lines: a log of a few
-// thousand rounds carries millions of weights, and every resume reads
-// it whole. It formats with strconv, exactly the bytes json.Marshal
-// writes. It reads each weight in one pass that builds the decimal
-// significand and divides it by a power of ten, correctly rounded
-// (parseFloat); a number that pass does not take, with more than 19
-// digits or an exponent, goes to strconv, and FuzzParseFloat holds the
-// pass to strconv bit for bit. Any line not in AppendRecord's shape —
-// hand-edited, spaced, reordered — goes to the strict encoding/json
-// decode every other JSONL file uses, so what the log accepts and
-// rejects does not depend on which path read a line.
+// thousand rounds carries millions of weights, every round writes one
+// line ahead of its step, and every resume reads the log whole. Both
+// passes are exact. It writes each weight in [1, 2^53) in one pass
+// that takes the shortest decimal between the midpoints to the
+// weight's neighbouring float64s, as strconv takes it (appendFloat),
+// and any other through strconv, so a line is exactly the bytes
+// json.Marshal writes. It reads each weight in one pass that builds the
+// decimal significand and divides it by a power of ten, correctly
+// rounded (parseFloat); a number that pass does not take, with more
+// than 19 digits or an exponent, goes to strconv. FuzzAppendFloat and
+// FuzzParseFloat hold the two passes to strconv, byte for byte and bit
+// for bit. Any line not in AppendRecord's shape — hand-edited, spaced,
+// reordered — goes to the strict encoding/json decode every other
+// JSONL file uses, so what the log accepts and rejects does not depend
+// on which path read a line.
 
 // RoundRecord is one stepped round's external input.
 type RoundRecord struct {
@@ -109,11 +114,13 @@ func appendRecord(b []byte, rec *RoundRecord) ([]byte, error) {
 // distance on either side. For them s >= 1, and w scaled by 10^q, the
 // least power of ten above 2^(s+1), is c + frac/2^s; one Mul64 forms
 // m·10^q. The midpoints to the neighbours, (2m∓1)·10^q/2^(s+1), lie
-// h/2^s = 10^q/2^(s+1), 1 to 10 units, below and above it. A midpoint
-// has s+1 binary places and q < s+1, so none is a multiple of 10^-q:
-// the numbers at this scale that read back as w are exactly l..u, the
-// ceiling and floor of the midpoints. The shortest of them is then
-// taken as strconv's ryuDigits32 takes it.
+// h/2^s = 10^q/2^(s+1) below and above it: more than 1 and at most 10
+// units, and never 5. A midpoint has s+1 binary places and q < s+1,
+// so none is a multiple of 10^-q: the numbers at this scale that read
+// back as w are exactly l..u, the ceiling and floor of the midpoints.
+// The shortest of them is then taken as strconv's ryuDigits32 takes
+// it; on intervals this wide its guards against rounding out of l..u
+// never fire, so the pass has none.
 func appendFloat(b []byte, w float64) []byte {
 	fb := math.Float64bits(w)
 	s := 1075 - fb>>52
@@ -153,19 +160,19 @@ func appendFloat(b []byte, w float64) []byte {
 			c, f = c/10, f-1
 		}
 	case (l+9)/10 <= u/10:
-		// One digit off: a c that truncates to below l moves up to
-		// l, as ryuDigits32's guard moves it; otherwise c rounds half
-		// to even, and never past u.
+		// One digit off: c rounds half to even on the digit and the
+		// remainder it drops. c/10 falls below l/10 only when it drops
+		// a 6 or more, or a 5 and a remainder, and then rounds up to
+		// it; rounding up past u/10 would need h/2^s both above and
+		// below 5.
 		d := c % 10
 		c, f = c/10, f-1
-		if l1 := (l + 9) / 10; l1 == c+1 {
-			c, d = l1, 0
-		}
-		if (d > 5 || d == 5 && (frac != 0 || c&1 == 1)) && c < u/10 {
+		if d > 5 || d == 5 && (frac != 0 || c&1 == 1) {
 			c++
 		}
 	default:
-		if half := uint64(1) << (s - 1); (frac > half || frac == half && c&1 == 1) && c < u {
+		// c < u, as h/2^s > 1.
+		if half := uint64(1) << (s - 1); frac > half || frac == half && c&1 == 1 {
 			c++
 		}
 	}
