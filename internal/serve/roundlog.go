@@ -161,10 +161,10 @@ func appendFloat(b []byte, w float64) []byte {
 		}
 	case (l+9)/10 <= u/10:
 		// One digit off: c rounds half to even on the digit and the
-		// remainder it drops. c/10 falls below l/10 only when it drops
-		// a 6 or more, or a 5 and a remainder, and then rounds up to
-		// it; rounding up past u/10 would need h/2^s both above and
-		// below 5.
+		// remainder it drops. When c/10 truncates below l's decade,
+		// the digit it drops is 6 or more, or 5 with a nonzero
+		// remainder, so it rounds up into it; rounding up past u's
+		// decade would need h/2^s both above and below 5.
 		d := c % 10
 		c, f = c/10, f-1
 		if d > 5 || d == 5 && (frac != 0 || c&1 == 1) {
