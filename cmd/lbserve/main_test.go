@@ -287,10 +287,10 @@ func TestServeRefusesShortRoundLog(t *testing.T) {
 	}
 
 	s2 := startServer(t, args...)
+	s2.stop(t)
 	if !strings.Contains(s2.out.String(), "resumed at round "+m[1]) {
 		t.Fatalf("boot without -roundlog did not resume at round %s:\n%s", m[1], s2.out)
 	}
-	s2.stop(t)
 }
 
 // TestRewriteRoundLog: resume replaces the round log with the records
