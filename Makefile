@@ -19,8 +19,8 @@ race:
 # Coverage-guided fuzz of the shared line reader against the loops it
 # replaced, the trace/speed-profile/churn-event/topology/fault-plan
 # parsers, the JSONL event-sink reader, the round-log codec against
-# encoding/json and its weight parser against strconv, the graph
-# builder and the move-batch sort against their references,
+# encoding/json and its weight parser and formatter against strconv,
+# the graph builder and the move-batch sort against their references,
 # RandomRegular's open-addressing edge set against a map, the diffusion
 # kernels against their plain reference gather, the delivery exchange
 # against the sequential delivery it replaced, and the integer
@@ -42,7 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 30s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 30s ./internal/snapshot
-	for target in FuzzRoundLog FuzzRoundLogCodec FuzzParseFloat; do \
+	for target in FuzzRoundLog FuzzRoundLogCodec FuzzParseFloat FuzzAppendFloat; do \
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s ./internal/serve || exit 1; \
 	done
 	for target in FuzzBuild FuzzEdgeSet; do \

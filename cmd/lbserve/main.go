@@ -285,12 +285,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 // reopenRoundLog opens the round log at path, which held recs, for a
 // run that resumes at round next. A log with fewer than next records,
 // or a missing one when next > 0, is refused before any file is
-// opened. A log that keeps
-// every record and is empty or ends in a newline is synced, with its
-// directory, and appended to in place, so a clean restart costs no
-// rewrite. Otherwise the records before next replace it atomically
-// first, so a crash mid-rewrite leaves the old log whole, and a last
-// line that lost its newline does not merge with the next record.
+// opened. A log that keeps every record and is empty or ends in a
+// newline is synced, with its directory, and appended to in place, so
+// a clean restart costs no rewrite. Otherwise the records before next
+// replace it atomically first, so a crash mid-rewrite leaves the old
+// log whole, and a last line that lost its newline does not merge with
+// the next record.
 func reopenRoundLog(path string, recs []lb.RoundRecord, next int) (*os.File, error) {
 	if len(recs) < next {
 		return nil, fmt.Errorf("round log %s holds %d records, but the snapshot resumes at round %d", path, len(recs), next)
