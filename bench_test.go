@@ -516,12 +516,12 @@ func BenchmarkRackLossRecover(b *testing.B) {
 	rack0 := topo.RackList(0, nil)
 	policies := []struct {
 		name string
-		mk   func() dynamic.RehomePolicy
+		mk   func() dynamic.Dispatch
 	}{
-		{"uniform", func() dynamic.RehomePolicy { return dynamic.UniformRehome{} }},
-		{"power2", func() dynamic.RehomePolicy { return dynamic.PowerOfDRehome{D: 2} }},
-		{"locality", func() dynamic.RehomePolicy { return &recovery.Locality{Topo: topo} }},
-		{"speed", func() dynamic.RehomePolicy { return &dynamic.SpeedWeightedRehome{} }},
+		{"uniform", func() dynamic.Dispatch { return dynamic.UniformDispatch{} }},
+		{"power2", func() dynamic.Dispatch { return dynamic.PowerOfD{D: 2} }},
+		{"locality", func() dynamic.Dispatch { return &recovery.Locality{Topo: topo} }},
+		{"speed", func() dynamic.Dispatch { return &dynamic.SpeedWeighted{} }},
 	}
 	for _, pol := range policies {
 		b.Run(pol.name, func(b *testing.B) {

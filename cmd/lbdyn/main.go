@@ -279,7 +279,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var rehomer lb.RehomePolicy
+	var rehomer lb.Dispatch
 	switch *rehome {
 	case "uniform":
 		rehomer = lb.UniformRehome()

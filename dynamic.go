@@ -38,8 +38,14 @@ type Arrivals = dynamic.Arrivals
 // WeightProportionalService, GeometricService).
 type Service = dynamic.Service
 
-// Dispatch routes arriving tasks to resources (see UniformDispatch,
-// HotspotDispatch, PowerOfDDispatch).
+// Dispatch places tasks on resources. One set of policies fills both
+// placement slots: DynamicScenario.Dispatch routes arrivals (see
+// UniformDispatch, HotspotDispatch, PowerOfDDispatch,
+// SpeedWeightedDispatch) and DynamicScenario.Rehome lands each task
+// evacuated off a failed resource (see UniformRehome, PowerOfDRehome,
+// SpeedWeightedRehome, and LocalityRehome, which only re-homes). A
+// re-home draws only from the failed resource's deterministic stream,
+// so runs stay bit-identical for any worker count.
 type Dispatch = dynamic.Dispatch
 
 // ChurnSpec configures resource join/leave dynamics; the zero value
@@ -60,13 +66,6 @@ type ChurnEvent = dynamic.ChurnEvent
 // load, and the overload transient (pre-failure baseline, peak, and
 // time-to-drain back to the baseline). See DynamicResult.Recoveries.
 type RecoveryStat = dynamic.RecoveryStat
-
-// RehomePolicy decides where each task evacuated off a failed resource
-// lands (see UniformRehome, PowerOfDRehome, LocalityRehome,
-// SpeedWeightedRehome). Every policy draws only from the failed
-// resource's deterministic stream, so runs stay bit-identical for any
-// worker count.
-type RehomePolicy = dynamic.RehomePolicy
 
 // Topology is a resource → rack → zone failure-domain hierarchy: the
 // blast-radius model for correlated failures (FailureModel) and the
@@ -164,22 +163,23 @@ func LoadFaultPlanTopo(path string, n int, topo *Topology) (*FaultPlan, error) {
 
 // UniformRehome re-homes each evacuated task to a uniformly random up
 // resource — the engine's default (and original) evacuation rule.
-func UniformRehome() RehomePolicy { return dynamic.UniformRehome{} }
+func UniformRehome() Dispatch { return dynamic.UniformDispatch{} }
 
 // PowerOfDRehome samples d up resources per evacuated task and lands
 // it on the least loaded (by load-per-speed on heterogeneous fleets) —
 // load-aware failure recovery.
-func PowerOfDRehome(d int) RehomePolicy { return dynamic.PowerOfDRehome{D: d} }
+func PowerOfDRehome(d int) Dispatch { return dynamic.PowerOfD{D: d} }
 
 // LocalityRehome re-homes evacuees topology-aware: same rack first,
-// then same zone, then anywhere up. Use a fresh value per concurrent
-// run (the policy tracks the up set incrementally).
-func LocalityRehome(topo *Topology) RehomePolicy { return &recovery.Locality{Topo: topo} }
+// then same zone, then anywhere up. It tracks the up set, which only
+// the re-home slot hears of, so it cannot dispatch arrivals. Use a
+// fresh value per concurrent run.
+func LocalityRehome(topo *Topology) Dispatch { return &recovery.Locality{Topo: topo} }
 
 // SpeedWeightedRehome re-homes each evacuee to an up resource drawn
 // with probability proportional to its speed — fast machines absorb
 // more of a dead rack. Equals UniformRehome on homogeneous fleets.
-func SpeedWeightedRehome() RehomePolicy { return &dynamic.SpeedWeightedRehome{} }
+func SpeedWeightedRehome() Dispatch { return &dynamic.SpeedWeighted{} }
 
 // ShardStat reports one worker shard's resource range and measured
 // phase cost — the payload of the KindShardCost events that
@@ -462,13 +462,10 @@ type DynamicScenario struct {
 	// Workers shards the round pipeline across a persistent worker
 	// pool; ≤ 1 runs sequentially. Any worker count produces the same
 	// Result bit for bit — parallelism changes only the wall clock, so
-	// the seed alone still identifies a run.
+	// the seed alone still identifies a run. With more than one worker
+	// the shard boundaries move every 64 rounds so observed per-shard
+	// cost equalises.
 	Workers int
-	// RebalanceEvery is the measured-cost shard-sizing period in
-	// rounds: shard boundaries move so observed per-shard cost
-	// equalises. 0 selects the default (64); < 0 pins equal-count
-	// shards. Boundary placement never changes results.
-	RebalanceEvery int
 	// Rounds is the number of simulated rounds (required).
 	Rounds int
 	// Window is the metrics window length; 0 means 100 rounds.
@@ -481,7 +478,7 @@ type DynamicScenario struct {
 	Dispatch Dispatch
 	// Rehome picks where tasks evacuated off failed resources land;
 	// nil means UniformRehome (bit-identical to the pre-policy engine).
-	Rehome RehomePolicy
+	Rehome Dispatch
 	// OracleThresholds uses the exact in-flight average W(t)/n_up
 	// instead of the decentralised diffusion estimate.
 	OracleThresholds bool
@@ -730,7 +727,6 @@ func (sc DynamicScenario) config() (dynamic.Config, error) {
 		Window:           sc.Window,
 		Seed:             sc.Seed,
 		Workers:          sc.Workers,
-		RebalanceEvery:   sc.RebalanceEvery,
 		InitialWeights:   sc.InitialWeights,
 		InitialPlacement: sc.InitialPlacement,
 		CheckInvariants:  sc.CheckInvariants,

@@ -60,7 +60,7 @@ func main() {
 	}
 }
 
-func run(topo *lb.Topology, events []lb.ChurnEvent, rehome lb.RehomePolicy) lb.DynamicResult {
+func run(topo *lb.Topology, events []lb.ChurnEvent, rehome lb.Dispatch) lb.DynamicResult {
 	speeds := make([]float64, n)
 	total := 0.0
 	for r := range speeds {

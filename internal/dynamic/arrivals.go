@@ -11,29 +11,13 @@ import (
 // Arrivals is a pluggable arrival process: every round it emits the
 // weights of the tasks entering the system.
 type Arrivals interface {
-	// Next returns the weights (each ≥ 1) of the tasks arriving in
-	// round t, drawing all randomness from r. May return nil.
-	Next(t int, r *rng.Rand) []float64
+	// Next appends the weights (each ≥ 1) of the tasks arriving in
+	// round t to dst and returns the extended slice, drawing all
+	// randomness from r. The engine hands it a reused buffer, so the
+	// steady-state round allocates nothing.
+	Next(t int, r *rng.Rand, dst []float64) []float64
 	// Name identifies the process in reports.
 	Name() string
-}
-
-// AppendArrivals is the allocation-free extension of Arrivals:
-// AppendNext emits round t's weights into a caller-provided buffer and
-// must consume the generator exactly like Next. The engine probes for
-// it so the steady-state round loop allocates nothing; processes that
-// only implement Next still work (the engine copies out of the
-// returned slice).
-type AppendArrivals interface {
-	AppendNext(t int, r *rng.Rand, dst []float64) []float64
-}
-
-// appendNext dispatches to the allocation-free path when a has one.
-func appendNext(a Arrivals, t int, r *rng.Rand, dst []float64) []float64 {
-	if aa, ok := a.(AppendArrivals); ok {
-		return aa.AppendNext(t, r, dst)
-	}
-	return append(dst, a.Next(t, r)...)
 }
 
 // Poisson emits a Poisson(Rate) number of tasks per round with weights
@@ -44,16 +28,7 @@ type Poisson struct {
 }
 
 // Next implements Arrivals.
-func (p Poisson) Next(t int, r *rng.Rand) []float64 {
-	k := r.Poisson(p.Rate)
-	if k == 0 {
-		return nil
-	}
-	return p.Weights.Weights(k, r)
-}
-
-// AppendNext implements AppendArrivals.
-func (p Poisson) AppendNext(t int, r *rng.Rand, dst []float64) []float64 {
+func (p Poisson) Next(t int, r *rng.Rand, dst []float64) []float64 {
 	return task.AppendWeights(p.Weights, dst, r.Poisson(p.Rate), r)
 }
 
@@ -96,18 +71,7 @@ type Burst struct {
 }
 
 // Next implements Arrivals.
-func (b Burst) Next(t int, r *rng.Rand) []float64 {
-	if b.Every < 1 {
-		panic("dynamic: Burst.Every must be >= 1")
-	}
-	if t%b.Every != 0 || b.Size <= 0 {
-		return nil
-	}
-	return b.Weights.Weights(b.Size, r)
-}
-
-// AppendNext implements AppendArrivals.
-func (b Burst) AppendNext(t int, r *rng.Rand, dst []float64) []float64 {
+func (b Burst) Next(t int, r *rng.Rand, dst []float64) []float64 {
 	if b.Every < 1 {
 		panic("dynamic: Burst.Every must be >= 1")
 	}
@@ -145,16 +109,11 @@ type Trace struct {
 }
 
 // Next implements Arrivals.
-func (tr Trace) Next(t int, r *rng.Rand) []float64 {
+func (tr Trace) Next(t int, r *rng.Rand, dst []float64) []float64 {
 	if t < 0 || t >= len(tr.Rounds) {
-		return nil
+		return dst
 	}
-	return tr.Rounds[t]
-}
-
-// AppendNext implements AppendArrivals.
-func (tr Trace) AppendNext(t int, r *rng.Rand, dst []float64) []float64 {
-	return append(dst, tr.Next(t, r)...)
+	return append(dst, tr.Rounds[t]...)
 }
 
 // Validate implements the optional config check: every replayed
@@ -187,7 +146,7 @@ func (tr Trace) Name() string {
 type External struct{}
 
 // Next implements Arrivals; external-input rounds never draw from it.
-func (External) Next(t int, r *rng.Rand) []float64 { return nil }
+func (External) Next(t int, r *rng.Rand, dst []float64) []float64 { return dst }
 
 // Name identifies the process.
 func (External) Name() string { return "external" }
@@ -197,7 +156,7 @@ func (External) Name() string { return "external" }
 type None struct{}
 
 // Next implements Arrivals.
-func (None) Next(t int, r *rng.Rand) []float64 { return nil }
+func (None) Next(t int, r *rng.Rand, dst []float64) []float64 { return dst }
 
 // Name identifies the process.
 func (None) Name() string { return "none" }

@@ -28,14 +28,10 @@ var checkpointScratch = map[string]string{
 	"engine.shards":       "per-worker round scratch and boundaries, which rebalancing re-cuts from measured cost",
 	"engine.weightsBuf":   "this round's arrival weights, drawn afresh every round",
 	"engine.loadBuf":      "window load scratch, refilled at every flush",
-	"engine.sortBuf":      "window percentile scratch, refilled at every flush",
 	"engine.normBuf":      "window load-per-speed scratch, refilled at every flush",
-	"engine.shardLoadBuf": "per-shard window scratch, refilled at every flush",
-	"engine.shardNormBuf": "per-shard window scratch, refilled at every flush",
 	"engine.domAgg":       "per-domain window scratch, reset at every flush",
 	"engine.traceBuf":     "evacuation trace-record drain scratch, emptied within the round",
 	"engine.phaseNanos":   "measured wall-clock phase times, telemetry only",
-	"engine.seqNanos":     "measured wall-clock phase times, telemetry only",
 	"engine.wShardArr":    "per-shard window counts, attributed by wall-clock shard bounds",
 	"engine.wShardDep":    "per-shard window counts, attributed by wall-clock shard bounds",
 	"engine.wShardInb":    "per-shard window counts, attributed by wall-clock shard bounds",
@@ -87,7 +83,7 @@ func TestCheckpointCompleteness(t *testing.T) {
 			Arrivals: Poisson{Rate: 0.8 * 2 * n / paretoMean, Weights: task.Pareto{Alpha: 2, Cap: 20}},
 			Service:  WeightProportional{Rate: 1},
 			Dispatch: HotspotDispatch{Resource: 3},
-			Rehome:   &SpeedWeightedRehome{},
+			Rehome:   &SpeedWeighted{},
 			Tuner: &SelfTuner{Eps: 0.5, Every: 5, Steps: 2,
 				Kernel: walk.NewLazy(walk.NewMaxDegree(g))},
 			Churn: Churn{LeaveProb: 0.3, JoinProb: 0.3, MinUp: n / 2,

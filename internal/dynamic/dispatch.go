@@ -99,40 +99,70 @@ func (u *UpSet) snapshot(c *snapshot.Codec, n int, name string) {
 	}
 }
 
-// Dispatch routes an arriving task to one of the up resources.
+// Dispatch places a task on an up resource. One set of policies fills
+// both of the engine's placement slots: Config.Dispatch routes every
+// arrival, and Config.Rehome lands every task evacuated off a resource
+// that left the system (a single machine, or a whole rack through a
+// scripted or compiled ChurnEvent).
+//
+// An arrival is placed in the sequential arrival phase, drawing from
+// the engine's dispatch stream. An evacuee is placed inside its failed
+// resource's shard phase and may draw only from that resource's own
+// stream, so the move set is independent of the shard partition and
+// the golden cross-worker tests extend to every policy. Pick must
+// return an up resource; the engine panics on an evacuee sent to a
+// down one rather than strand the task.
 type Dispatch interface {
-	// Pick returns the destination resource for an arriving task of
-	// weight w. speeds is the per-resource speed profile (nil on
+	// Pick returns the destination of one task of weight w: an arrival
+	// when from is −1, otherwise an evacuee off the (now down) resource
+	// from. speeds is the per-resource speed profile (nil on
 	// homogeneous fleets) — load-aware policies should compare
 	// load-per-speed, not raw load, so a fast machine's longer queue is
-	// not mistaken for congestion. Only up resources may be returned.
-	Pick(s *core.State, up *UpSet, speeds []float64, w float64, r *rng.Rand) int
+	// not mistaken for congestion. All randomness must come from r.
+	Pick(s *core.State, up *UpSet, speeds []float64, from int, w float64, r *rng.Rand) int
 	// Name identifies the policy in reports.
 	Name() string
 }
 
-// UniformDispatch sends each arrival to a uniformly random up resource
-// — the baseline "no ingress knowledge" routing.
+// RehomeObserver is implemented by stateful re-home policies that track
+// the up set incrementally (recovery.Locality's per-domain membership
+// lists). The engine calls ResetUp once at run start and ResourceDown/
+// ResourceUp for every transition, all from sequential sections — Pick
+// only ever reads the state, so the sharded evacuation needs no
+// synchronisation. Only the re-home slot hears of transitions, so such
+// a policy is a config error as Config.Dispatch.
+type RehomeObserver interface {
+	// ResetUp marks all n resources up — the run-start state.
+	ResetUp(n int)
+	// ResourceDown records that resource r left the system.
+	ResourceDown(r int)
+	// ResourceUp records that resource r rejoined.
+	ResourceUp(r int)
+}
+
+// UniformDispatch sends each task to a uniformly random up resource —
+// the baseline "no ingress knowledge" routing and the engine's original
+// evacuation rule. A nil Config.Dispatch or Config.Rehome selects it.
 type UniformDispatch struct{}
 
 // Pick implements Dispatch.
-func (UniformDispatch) Pick(s *core.State, up *UpSet, speeds []float64, w float64, r *rng.Rand) int {
+func (UniformDispatch) Pick(s *core.State, up *UpSet, speeds []float64, from int, w float64, r *rng.Rand) int {
 	return up.Random(r)
 }
 
 // Name identifies the policy.
 func (UniformDispatch) Name() string { return "uniform" }
 
-// HotspotDispatch sends every arrival to one ingress resource — the
+// HotspotDispatch sends every task to one ingress resource — the
 // dynamic analogue of the paper's single-source placement, the worst
 // case that makes the balancing protocol do all the spreading. If the
-// hotspot is down, arrivals fall back to a uniform pick.
+// hotspot is down, tasks fall back to a uniform pick.
 type HotspotDispatch struct {
 	Resource int
 }
 
 // Pick implements Dispatch.
-func (h HotspotDispatch) Pick(s *core.State, up *UpSet, speeds []float64, w float64, r *rng.Rand) int {
+func (h HotspotDispatch) Pick(s *core.State, up *UpSet, speeds []float64, from int, w float64, r *rng.Rand) int {
 	if up.Contains(h.Resource) {
 		return h.Resource
 	}
@@ -142,19 +172,21 @@ func (h HotspotDispatch) Pick(s *core.State, up *UpSet, speeds []float64, w floa
 // Name identifies the policy.
 func (h HotspotDispatch) Name() string { return fmt.Sprintf("hotspot(r=%d)", h.Resource) }
 
-// PowerOfD samples D up resources uniformly and routes to the least
-// loaded — the classic two-choice dispatcher (D = 2), included so the
-// dynamic experiments can separate what the dispatcher contributes
-// from what threshold migration contributes. On heterogeneous fleets
-// the samples are compared by load-per-speed (x_c/s_c), the quantity
-// the speed-proportional thresholds equalise, so the dispatcher and
-// the balancer pull toward the same fixed point.
+// PowerOfD samples D up resources uniformly and places the task on the
+// least loaded — the classic two-choice dispatcher (D = 2), included
+// so the dynamic experiments can separate what the dispatcher
+// contributes from what threshold migration contributes, and, as a
+// re-home policy, a mass evacuation that avoids piling displaced work
+// onto machines already near their thresholds. On heterogeneous
+// fleets the samples are compared by load-per-speed (x_c/s_c), the
+// quantity the speed-proportional thresholds equalise, so the
+// placement and the balancer pull toward the same fixed point.
 type PowerOfD struct {
-	D int // samples per arrival, ≥ 1
+	D int // samples per task, ≥ 1
 }
 
 // Pick implements Dispatch.
-func (p PowerOfD) Pick(s *core.State, up *UpSet, speeds []float64, w float64, r *rng.Rand) int {
+func (p PowerOfD) Pick(s *core.State, up *UpSet, speeds []float64, from int, w float64, r *rng.Rand) int {
 	if p.D < 1 {
 		panic("dynamic: PowerOfD.D must be >= 1")
 	}
@@ -188,15 +220,16 @@ func (p PowerOfD) Validate() error {
 // Name identifies the policy.
 func (p PowerOfD) Name() string { return fmt.Sprintf("power-of-%d", p.D) }
 
-// SpeedWeighted routes each arrival to an up resource drawn with
+// SpeedWeighted places each task on an up resource drawn with
 // probability proportional to its speed — the "faster machines take
 // proportionally more ingress" baseline for heterogeneous fleets,
 // which hands the dispatcher exactly the speed-proportional split the
-// thresholds target. On a homogeneous fleet (nil speeds) it degrades
-// to the uniform pick.
+// thresholds target, and lets fast machines absorb proportionally more
+// of a dead rack. On a homogeneous fleet (nil speeds) it degrades to
+// the uniform pick.
 //
 // Implemented by exact rejection sampling against the fleet-wide
-// maximum speed: expected draws per arrival are s_max·n_up/S_up — a
+// maximum speed: expected draws per task are s_max·n_up/S_up — a
 // property of the profile, independent of n, and a small constant for
 // realistic spreads. The worst case is s_max/s_min draws (an extreme
 // spread whose fast class is down, or one fast machine in a sea of
@@ -239,7 +272,7 @@ func (sw *SpeedWeighted) Prime(speeds []float64) {
 }
 
 // Pick implements Dispatch.
-func (sw *SpeedWeighted) Pick(s *core.State, up *UpSet, speeds []float64, w float64, r *rng.Rand) int {
+func (sw *SpeedWeighted) Pick(s *core.State, up *UpSet, speeds []float64, from int, w float64, r *rng.Rand) int {
 	if len(speeds) == 0 {
 		return up.Random(r)
 	}

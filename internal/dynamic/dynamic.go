@@ -275,14 +275,15 @@ type Config struct {
 	Arrivals Arrivals
 	// Service is the departure discipline (required).
 	Service Service
-	// Dispatch routes arrivals; nil means UniformDispatch.
+	// Dispatch routes arrivals; nil means UniformDispatch. A policy
+	// that tracks the up set (a RehomeObserver) can only re-home.
 	Dispatch Dispatch
 	// Rehome picks the destination of every task evacuated off a failed
-	// resource; nil means UniformRehome (the original engine behaviour,
-	// bit-identical draws included). Policies draw only from the failed
-	// resource's per-resource stream, so every policy keeps the
-	// cross-worker determinism guarantee.
-	Rehome RehomePolicy
+	// resource; nil means UniformDispatch (the original engine
+	// behaviour, bit-identical draws included). Policies draw only from
+	// the failed resource's per-resource stream, so every policy keeps
+	// the cross-worker determinism guarantee.
+	Rehome Dispatch
 	// Tuner refreshes thresholds online (required).
 	Tuner Tuner
 	// Churn enables resource join/leave; the zero value disables it.
@@ -315,16 +316,13 @@ type Config struct {
 	// bit-identical for every worker count: all randomness is drawn
 	// from per-resource or sequential engine streams, cross-shard
 	// effects merge in canonical (destination, task ID) order, and
-	// float reductions always run in the same order.
+	// float reductions always run in the same order. With more than
+	// one worker the engine times every shard phase and, every 64
+	// rounds, moves the shard boundaries so observed per-shard round
+	// nanos equalise (skewed workloads stop bottlenecking on one
+	// worker); boundary placement never affects results, only the work
+	// split.
 	Workers int
-	// RebalanceEvery is the period, in rounds, of measured-cost shard
-	// sizing: the engine times every shard phase and periodically moves
-	// the shard boundaries so observed per-shard round nanos equalise
-	// (skewed workloads stop bottlenecking on one worker). 0 selects
-	// the default (64); < 0 pins the equal-count partition. Boundary
-	// placement never affects results — only the work split — so runs
-	// stay bit-identical across worker counts and machines.
-	RebalanceEvery int
 	// InitialWeights optionally pre-populates the system; paired with
 	// InitialPlacement (task → resource; nil places all on resource 0).
 	InitialWeights   []float64
@@ -338,8 +336,7 @@ type Config struct {
 	// Obs, if non-nil, streams typed telemetry events into the given
 	// broker: fleet / per-shard / per-domain window statistics at the
 	// Window cadence, exchange lane occupancy, per-shard phase timings
-	// and shard costs at the telemetry cadence (RebalanceEvery, or its
-	// default when rebalancing is off), and recovery-episode
+	// and shard costs every 64 rounds, and recovery-episode
 	// transitions as they happen. Events are snapshot copies published
 	// from the engine's sequential sections — they never feed back into
 	// the run, so replay stays bit-identical for every worker count
@@ -629,6 +626,9 @@ func validate(cfg Config) error {
 		if r < 0 || r >= cfg.Graph.N() {
 			return fmt.Errorf("dynamic: initial task %d placed on invalid resource %d", i, r)
 		}
+	}
+	if _, ok := cfg.Dispatch.(RehomeObserver); ok {
+		return fmt.Errorf("dynamic: Config.Dispatch %s tracks the up set, which only the re-home slot hears of; set it as Config.Rehome", cfg.Dispatch.Name())
 	}
 	// Pluggable components check their own parameters up front, so a bad
 	// rate or probability is a config error, not a mid-run panic.

@@ -190,22 +190,22 @@ func TestBurstAndTraceArrivals(t *testing.T) {
 	b := Burst{Every: 50, Size: 10, Weights: task.Uniform{W: 1}}
 	total := 0
 	for round := 0; round < 200; round++ {
-		total += len(b.Next(round, r))
+		total += len(b.Next(round, r, nil))
 	}
 	if total != 40 {
 		t.Fatalf("burst emitted %d tasks over 200 rounds, want 40", total)
 	}
 	tr := Trace{Rounds: [][]float64{{1, 2}, nil, {3}}}
-	if got := tr.Next(0, r); len(got) != 2 || got[1] != 2 {
+	if got := tr.Next(0, r, nil); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("trace round 0 = %v", got)
 	}
-	if got := tr.Next(2, r); len(got) != 1 || got[0] != 3 {
+	if got := tr.Next(2, r, nil); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("trace round 2 = %v", got)
 	}
-	if tr.Next(1, r) != nil || tr.Next(5, r) != nil || tr.Next(-1, r) != nil {
+	if tr.Next(1, r, nil) != nil || tr.Next(5, r, nil) != nil || tr.Next(-1, r, nil) != nil {
 		t.Fatal("trace emitted tasks outside its rounds")
 	}
-	if (None{}).Next(0, r) != nil {
+	if (None{}).Next(0, r, nil) != nil {
 		t.Fatal("None emitted arrivals")
 	}
 }
@@ -253,7 +253,7 @@ func TestPowerOfDDispatch(t *testing.T) {
 	// almost surely over repeated picks.
 	hits := 0
 	for i := 0; i < 50; i++ {
-		if (PowerOfD{D: 4}).Pick(s, up, nil, 1, r) == 3 {
+		if (PowerOfD{D: 4}).Pick(s, up, nil, -1, 1, r) == 3 {
 			hits++
 		}
 	}
@@ -266,7 +266,7 @@ func TestPowerOfDDispatch(t *testing.T) {
 	speeds := []float64{1, 1, 100, 1}
 	fast := 0
 	for i := 0; i < 50; i++ {
-		if c := (PowerOfD{D: 4}).Pick(s, up, speeds, 1, r); c == 2 || c == 3 {
+		if c := (PowerOfD{D: 4}).Pick(s, up, speeds, -1, 1, r); c == 2 || c == 3 {
 			fast++
 		}
 	}
@@ -289,7 +289,7 @@ func TestSpeedWeightedDispatch(t *testing.T) {
 	hits := 0
 	const draws = 2000
 	for i := 0; i < draws; i++ {
-		if sw.Pick(s, up, speeds, 1, r) == 3 {
+		if sw.Pick(s, up, speeds, -1, 1, r) == 3 {
 			hits++
 		}
 	}
@@ -298,7 +298,7 @@ func TestSpeedWeightedDispatch(t *testing.T) {
 		t.Fatalf("speed-weighted picked the 10x resource %d/%d times, want ≈ %.0f", hits, draws, want)
 	}
 	for i := 0; i < 100; i++ {
-		if c := (&SpeedWeighted{}).Pick(s, up, nil, 1, r); c < 0 || c > 3 {
+		if c := (&SpeedWeighted{}).Pick(s, up, nil, -1, 1, r); c < 0 || c > 3 {
 			t.Fatalf("nil-speeds pick out of range: %d", c)
 		}
 	}
@@ -379,6 +379,9 @@ func TestConfigValidation(t *testing.T) {
 		{func(c *Config) { c.Arrivals = Burst{Every: 0, Size: 5, Weights: task.Uniform{W: 1}} }, "Burst.Every"},
 		{func(c *Config) { c.Arrivals = Trace{Rounds: [][]float64{{0.5}}} }, "below 1"},
 		{func(c *Config) { c.Dispatch = PowerOfD{D: 0} }, "PowerOfD.D"},
+		// A policy that tracks the up set (recovery.Locality) hears of
+		// transitions only in the re-home slot.
+		{func(c *Config) { c.Dispatch = &recordingRehome{} }, "only the re-home slot"},
 		{func(c *Config) { c.Speeds = []float64{1, 2} }, "Speeds has 2 entries"},
 		{func(c *Config) { c.Speeds = []float64{1, 1, 0, 1} }, "must be positive"},
 		{func(c *Config) { c.Speeds = []float64{1, 1, math.NaN(), 1} }, "must be positive"},
@@ -417,6 +420,15 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", cse.want, err)
 			}
 		}
+	}
+	// The live policy switch refuses such a policy too.
+	en, err := NewEngine(good())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	if err := en.SetDispatch(&recordingRehome{}); err == nil || !strings.Contains(err.Error(), "can only re-home") {
+		t.Fatalf("SetDispatch of an up-set observer: %v", err)
 	}
 
 	// A protocol that can never migrate (a coin that never comes up) or

@@ -55,11 +55,11 @@ import (
 //     up list. Shard-concatenation order never feeds a float sum.
 //
 // Together these make the run a pure function of (Config minus
-// Workers/RebalanceEvery), which the cross-worker-count golden tests
-// pin — including mass-failure rounds that evacuate a thousand
-// resources at once. Because every phase produces identical output for
-// ANY contiguous partition, the engine is free to move the shard
-// boundaries at runtime: it times each shard's phases and periodically
+// Workers), which the cross-worker-count golden tests pin — including
+// mass-failure rounds that evacuate a thousand resources at once.
+// Because every phase produces identical output for ANY contiguous
+// partition, the engine is free to move the shard boundaries at
+// runtime: it times each shard's phases and every telemetryEvery rounds
 // re-cuts the partition so measured per-shard cost equalises
 // (par.Balance), which keeps skewed workloads from bottlenecking on
 // one worker without touching the determinism contract.
@@ -83,9 +83,10 @@ type shard struct {
 	sc        core.ProposeScratch
 }
 
-// rebalanceDefault is the measured-cost shard-resize period when
-// Config.RebalanceEvery is zero.
-const rebalanceDefault = 64
+// telemetryEvery is the period, in rounds, of telemetry reports and
+// measured-cost shard sizing. One period serves both, so a lane or
+// phase report always describes exactly one rebalance window.
+const telemetryEvery = 64
 
 type engine struct {
 	cfg       Config
@@ -94,7 +95,7 @@ type engine struct {
 	minUp     int
 	speeds    []float64 // per-resource speeds; nil = homogeneous
 	dispatch  Dispatch
-	rehome    RehomePolicy   // never nil; UniformRehome{} by default
+	rehome    Dispatch       // never nil; UniformDispatch{} by default
 	rehomeObs RehomeObserver // non-nil when the policy tracks the up set
 	ptuner    PooledTuner    // nil → sequential Tuner.Refresh
 
@@ -131,16 +132,14 @@ type engine struct {
 	exch   *core.Exchange
 	bounds []int // current shard boundaries, len(shards)+1
 
-	// Measured-cost shard sizing and phase profiling: per-shard
-	// per-phase accumulated nanos (measured whenever rebalancing or a
-	// broker wants them), rebalanced every rebalanceEvery rounds
-	// (< 0 = disabled). Boundary placement never affects results, only
-	// the work split.
-	rebalanceEvery int
-	phaseNanos     [][obs.NumPhases]int64
-	seqNanos       [obs.NumPhases]int64 // engine-level phases (arrivals, tune)
-	costBuf        []float64            // per-resource cost scratch (lazily sized n)
-	boundsBuf      []int                // par.Balance output scratch
+	// Measured-cost shard sizing and phase profiling: accumulated nanos
+	// per phase, one row per shard and a last row for the sequential
+	// phases (arrivals, tune). nil unless a broker wants profiles or
+	// there is more than one shard to balance. Boundary placement never
+	// affects results, only the work split.
+	phaseNanos [][obs.NumPhases]int64
+	costBuf    []float64 // per-resource cost scratch (lazily sized n)
+	boundsBuf  []int     // par.Balance output scratch
 
 	// Streaming observability (nil broker = disabled): events are
 	// published from the engine's sequential sections only, via the
@@ -148,14 +147,12 @@ type engine struct {
 	// events (lanes, shard costs, phase timings) fire every
 	// telemetryEvery rounds; window events ride flush; recovery events
 	// fire as episodes open and close.
-	broker         *obs.Broker
-	domains        []obs.Domains
-	ev             obs.Event
-	telemetryEvery int
+	broker  *obs.Broker
+	domains []obs.Domains
+	ev      obs.Event
 	// Per-shard window accumulators (broker runs only) and the
-	// snapshot scratch the per-shard / per-domain window events reuse.
+	// per-domain window scratch.
 	wShardArr, wShardDep, wShardInb []int64
-	shardLoadBuf, shardNormBuf      []float64
 	domAgg                          [][]domAgg
 
 	// Sequential engine streams, living above the per-resource streams
@@ -189,11 +186,12 @@ type engine struct {
 	evacTasksRound int64   // this round's evacuation moves
 	evacWtRound    float64 // and their weight
 
-	// Per-window accumulators and pooled snapshot buffers.
+	// Per-window accumulators, and the load and load-per-speed scratch
+	// every window snapshot (fleet and shard) fills.
 	wOverload                                     float64
 	wMigrations, wRehomed, wArrivals, wDepartures int64
 	windowStart                                   int
-	loadBuf, sortBuf, normBuf                     []float64
+	loadBuf, normBuf                              []float64
 
 	// Checkpointing (Config.CheckpointEvery / Engine.Checkpoint): the
 	// writing codec persists across checkpoints so steady-state rounds
@@ -244,14 +242,6 @@ func newEngine(cfg Config) *engine {
 	if e.window <= 0 {
 		e.window = 100
 	}
-	e.dispatch = cfg.Dispatch
-	if e.dispatch == nil {
-		e.dispatch = UniformDispatch{}
-	}
-	e.rehome = cfg.Rehome
-	if e.rehome == nil {
-		e.rehome = UniformRehome{}
-	}
 	// The speed profile is copied so a caller mutating its slice cannot
 	// desynchronise the engine, the tuner and the dispatcher mid-run.
 	if cfg.Speeds != nil {
@@ -259,15 +249,13 @@ func newEngine(cfg Config) *engine {
 		if sat, ok := cfg.Tuner.(SpeedAwareTuner); ok {
 			sat.SetSpeeds(e.speeds)
 		}
-		// Prime speed-caching dispatchers and re-homers up front so the
-		// round hot path (and the PARALLEL evacuation phase) only ever
-		// reads their cache.
-		if sw, ok := e.dispatch.(interface{ Prime([]float64) }); ok {
-			sw.Prime(e.speeds)
-		}
-		if sw, ok := e.rehome.(interface{ Prime([]float64) }); ok {
-			sw.Prime(e.speeds)
-		}
+	}
+	e.dispatch, e.rehome = UniformDispatch{}, UniformDispatch{}
+	if cfg.Dispatch != nil {
+		e.dispatch = e.prime(cfg.Dispatch)
+	}
+	if cfg.Rehome != nil {
+		e.rehome = e.prime(cfg.Rehome)
 	}
 	e.minUp = cfg.Churn.MinUp
 	if e.minUp <= 0 {
@@ -339,41 +327,13 @@ func newEngine(cfg Config) *engine {
 	if e.broker != nil {
 		e.exch.EnableLaneStats()
 	}
-	e.rebalanceEvery = cfg.RebalanceEvery
-	if e.rebalanceEvery == 0 {
-		e.rebalanceEvery = rebalanceDefault
-	}
-	if e.rebalanceEvery > 0 && workers > 1 {
-		// measured-cost rebalancing active
-	} else {
-		e.rebalanceEvery = -1
-	}
-	// The telemetry cadence tracks the rebalance cadence so lane and
-	// phase reports line up with boundary moves; when rebalancing is off
-	// (workers == 1, or pinned with RebalanceEvery < 0) an attached
-	// broker still gets reports at the configured or default period.
-	e.telemetryEvery = -1
-	if e.broker != nil {
-		switch {
-		case e.rebalanceEvery > 0:
-			e.telemetryEvery = e.rebalanceEvery
-		case cfg.RebalanceEvery > 0:
-			e.telemetryEvery = cfg.RebalanceEvery
-		default:
-			e.telemetryEvery = rebalanceDefault
-		}
-	}
-	if e.rebalanceEvery > 0 || e.broker != nil {
-		e.phaseNanos = make([][obs.NumPhases]int64, workers)
+	if workers > 1 || e.broker != nil {
+		e.phaseNanos = make([][obs.NumPhases]int64, workers+1)
 	}
 	if e.broker != nil {
 		e.wShardArr = make([]int64, workers)
 		e.wShardDep = make([]int64, workers)
 		e.wShardInb = make([]int64, workers)
-		e.shardLoadBuf = make([]float64, 0, n)
-		if cfg.Speeds != nil {
-			e.shardNormBuf = make([]float64, 0, n)
-		}
 		e.domAgg = make([][]domAgg, len(e.domains))
 		for i := range e.domains {
 			e.domAgg[i] = make([]domAgg, len(e.domains[i].Names))
@@ -396,7 +356,6 @@ func newEngine(cfg Config) *engine {
 		e.ptuner = pt
 	}
 	e.loadBuf = make([]float64, 0, n)
-	e.sortBuf = make([]float64, 0, n)
 	if e.speeds != nil {
 		e.normBuf = make([]float64, 0, n)
 	}
@@ -415,6 +374,16 @@ func newEngine(cfg Config) *engine {
 	e.deliverFn = e.deliverShard
 	e.evacFn = e.evacShard
 	return e
+}
+
+// prime hands a speed-caching placement policy the fleet's profile up
+// front, so the round's hot path (and the parallel evacuation phase)
+// only ever reads its cache.
+func (e *engine) prime(d Dispatch) Dispatch {
+	if sw, ok := d.(interface{ Prime([]float64) }); ok && e.speeds != nil {
+		sw.Prime(e.speeds)
+	}
+	return d
 }
 
 // sampled reports whether task id's lifecycle is traced — a stateless
@@ -490,19 +459,11 @@ func (e *engine) step(t int) error {
 	if (t+1)%e.window == 0 {
 		e.flush(t + 1)
 	}
-	// Telemetry emission and measured-cost rebalancing share one
-	// cadence (and one accumulator reset): a shared period means a
-	// lane/phase report always describes exactly one rebalance
-	// window, never a partial one.
-	doTel := e.telemetryEvery > 0 && (t+1)%e.telemetryEvery == 0
-	doReb := e.rebalanceEvery > 0 && (t+1)%e.rebalanceEvery == 0
-	if doTel {
+	// Telemetry emission and measured-cost rebalancing share one period
+	// and one accumulator reset.
+	if e.phaseNanos != nil && (t+1)%telemetryEvery == 0 {
 		e.emitTelemetry(t + 1)
-	}
-	if doReb {
 		e.rebalance()
-	}
-	if doTel || doReb {
 		e.resetTelemetry()
 	}
 	// Checkpoint at the boundary, after the flush/telemetry/rebalance
@@ -535,7 +496,7 @@ func (e *engine) finish() (Result, error) {
 	}
 	// A trailing partial telemetry window still gets reported, so short
 	// runs (and the tail of any run) see lane and phase series.
-	if e.telemetryEvery > 0 && end%e.telemetryEvery != 0 {
+	if e.broker != nil && end%telemetryEvery != 0 {
 		e.emitTelemetry(end)
 		e.resetTelemetry()
 	}
@@ -598,13 +559,13 @@ func (e *engine) round(t int) error {
 	// sequential (one global stream, cheap O(events)); evacuating the
 	// failed resources' tasks — the expensive part of a mass failure —
 	// is sharded below.
-	downsThis, eventDowns := 0, 0
 	// Externally scripted reconfiguration (Engine.Step ops) applies
 	// ahead of config-driven churn, with scripted-event semantics:
-	// drains open recovery episodes, MinUp is respected.
-	if e.extActive && (len(e.extDown) > 0 || len(e.extUp) > 0) {
-		downsThis, eventDowns = e.applyExtOps()
-	}
+	// drains open recovery episodes, MinUp is respected. It runs on no
+	// randomness at all, so it is trivially replayable.
+	eventDowns := e.drainListed(e.extDown)
+	e.addListed(e.extUp)
+	downsThis := eventDowns
 	if e.cfg.Churn.enabled() {
 		d, ed := e.applyChurn(t)
 		downsThis += d
@@ -625,13 +586,13 @@ func (e *engine) round(t int) error {
 	// earlier same-round arrivals, so each task is placed immediately
 	// after its pick. The work is O(arrivals) with O(1) per-task cost,
 	// far below the O(n) sweeps the shards absorb.
-	arrStart := e.seqStart()
+	arrStart := e.clock()
 	if e.extActive {
 		// External-input mode: this round's batch was admitted by the
 		// caller (Engine.Step). The arrival stream stays untouched.
 		e.weightsBuf = append(e.weightsBuf[:0], e.extWeights...)
 	} else {
-		e.weightsBuf = appendNext(e.cfg.Arrivals, t, e.arrRand, e.weightsBuf[:0])
+		e.weightsBuf = e.cfg.Arrivals.Next(t, e.arrRand, e.weightsBuf[:0])
 	}
 	// During a partition window arrivals route into the reachable (main)
 	// component only; if churn emptied it, fall back to the full up set
@@ -641,7 +602,7 @@ func (e *engine) round(t int) error {
 		reach = up
 	}
 	for _, w := range e.weightsBuf {
-		dest := e.dispatch.Pick(s, reach, e.speeds, w, e.dispRand)
+		dest := e.dispatch.Pick(s, reach, e.speeds, -1, w, e.dispRand)
 		tk := s.InsertTask(w, dest)
 		e.setRemaining(tk.ID, w)
 		e.noteArrival(tk.ID, t)
@@ -656,7 +617,7 @@ func (e *engine) round(t int) error {
 				From: -1, To: int32(dest), Weight: w})
 		}
 	}
-	e.seqDone(obs.PhaseArrivals, arrStart)
+	e.lap(len(e.shards), obs.PhaseArrivals, arrStart)
 
 	// 3a. Service and departures (up resources only), sharded: each
 	// resource draws from its own stream and pops its own stack.
@@ -697,7 +658,7 @@ func (e *engine) round(t int) error {
 	// The tuner refreshes over the REACHABLE set, so during a partition
 	// window thresholds pre-compensate for the unreachable speed-mass
 	// (reach aliases up on partition-free runs).
-	tuneStart := e.seqStart()
+	tuneStart := e.clock()
 	var thr []float64
 	if e.ptuner != nil {
 		thr = e.ptuner.RefreshPooled(t, s, reach, e.pool)
@@ -707,7 +668,7 @@ func (e *engine) round(t int) error {
 	if thr != nil {
 		s.SetThresholds(thr)
 	}
-	e.seqDone(obs.PhaseTune, tuneStart)
+	e.lap(len(e.shards), obs.PhaseTune, tuneStart)
 
 	// 5. One protocol round: sharded propose phases route each shard's
 	// accepted moves into per-destination-shard lanes, then every
@@ -728,12 +689,7 @@ func (e *engine) round(t int) error {
 			sh.traceRecs = sh.traceRecs[:0]
 		}
 	}
-	e.pool.Run(len(e.shards), e.deliverFn)
-	st := e.exch.Finish(s, true)
-	e.noteInbound()
-	e.res.Migrations += int64(st.Migrations)
-	e.res.MovedWeight += st.MovedWeight
-	e.wMigrations += int64(st.Migrations)
+	e.countMigrations(e.settle(true))
 
 	// 5b. Fault-layer settlement: fold the propose shards' loss/delay
 	// scratches into the ledger and delay wheel (canonical shard-ascending
@@ -750,12 +706,7 @@ func (e *engine) round(t int) error {
 			for i := 1; i < len(e.shards); i++ {
 				e.exch.Route(i, nil)
 			}
-			e.pool.Run(len(e.shards), e.deliverFn)
-			dst := e.exch.Finish(s, false)
-			e.noteInbound()
-			e.res.Migrations += int64(dst.Migrations)
-			e.res.MovedWeight += dst.MovedWeight
-			e.wMigrations += int64(dst.Migrations)
+			e.countMigrations(e.settle(false))
 		}
 	}
 
@@ -840,23 +791,13 @@ func (e *engine) applyChurn(t int) (downs, eventDowns int) {
 		if !ev.fires(t) {
 			continue
 		}
-		for _, r := range ev.DownList {
-			if up.N() <= e.minUp {
-				break
-			}
-			if !up.Contains(r) {
-				continue
-			}
-			e.downResource(r)
-			downs++
-			eventDowns++
-		}
+		eventDowns += e.drainListed(ev.DownList)
 		for k := 0; k < ev.Down && up.N() > e.minUp; k++ {
 			e.downResource(up.Random(e.churnRand))
-			downs++
 			eventDowns++
 		}
 	}
+	downs = eventDowns
 	if c.LeaveProb > 0 && up.N() > e.minUp && e.churnRand.Bool(c.LeaveProb) {
 		e.downResource(up.Random(e.churnRand))
 		downs++
@@ -865,12 +806,7 @@ func (e *engine) applyChurn(t int) (downs, eventDowns int) {
 		if !ev.fires(t) {
 			continue
 		}
-		for _, r := range ev.UpList {
-			if up.Contains(r) {
-				continue
-			}
-			e.upResource(r)
-		}
+		e.addListed(ev.UpList)
 		for k := 0; k < ev.Up && up.DownN() > 0; k++ {
 			e.upResource(up.RandomDown(e.churnRand))
 		}
@@ -881,39 +817,54 @@ func (e *engine) applyChurn(t int) (downs, eventDowns int) {
 	return downs, eventDowns
 }
 
-// applyExtOps applies one Step call's scripted reconfiguration: all
-// drains first (each respecting MinUp and skipping already-down
-// resources, exactly like a scripted churn event's DownList), then all
-// adds (skipping already-up resources). Drains count as event downs so
-// they open recovery episodes, matching scripted-churn semantics. Runs
-// on no randomness at all, so it is trivially replayable.
-func (e *engine) applyExtOps() (downs, eventDowns int) {
-	up := e.up
-	for _, r := range e.extDown {
-		if up.N() <= e.minUp {
+// drainListed downs every listed resource that is still up, while the
+// fleet stays above MinUp, and returns how many went down. addListed
+// rejoins every listed resource that is down. They apply a scripted
+// event's lists and a Step call's ops alike.
+func (e *engine) drainListed(list []int) (downs int) {
+	for _, r := range list {
+		if e.up.N() <= e.minUp {
 			break
 		}
-		if !up.Contains(r) {
-			continue
+		if e.up.Contains(r) {
+			e.downResource(r)
+			downs++
 		}
-		e.downResource(r)
-		downs++
-		eventDowns++
 	}
-	for _, r := range e.extUp {
-		if up.Contains(r) {
-			continue
-		}
-		e.upResource(r)
-	}
-	return downs, eventDowns
+	return downs
 }
 
-// downResource/upResource apply one churn transition, keeping the
-// re-home policy's incremental up-set view (if it has one) and the
-// reachable set in sync, and feeding the flapping quarantine. Both run
-// only in the sequential churn phase.
+func (e *engine) addListed(list []int) {
+	for _, r := range list {
+		if !e.up.Contains(r) {
+			e.upResource(r)
+		}
+	}
+}
+
+// downResource/upResource apply one churn transition and feed the
+// flapping quarantine, which defers the rejoin of a held resource
+// until its cool-off expires. Both run only in the sequential churn
+// phase.
 func (e *engine) downResource(r int) {
+	e.setDown(r)
+	e.noteFlap(r)
+}
+
+func (e *engine) upResource(r int) {
+	if e.flapCnt != nil && e.quarUntil[r] > int32(e.curRound) {
+		e.quarWantUp[r] = true
+		return
+	}
+	e.setUp(r)
+	e.noteFlap(r)
+}
+
+// setDown and setUp are the only places a resource leaves or rejoins
+// the system: the up set, the reachable set (a rejoin stays out of it
+// while a partition isolates the resource), the re-home policy's view
+// and Downs/Ups move together.
+func (e *engine) setDown(r int) {
 	e.up.Down(r)
 	if e.reach != e.up && e.reach.Contains(r) {
 		e.reach.Down(r)
@@ -922,16 +873,9 @@ func (e *engine) downResource(r int) {
 		e.rehomeObs.ResourceDown(r)
 	}
 	e.res.Downs++
-	e.noteFlap(r)
 }
 
-func (e *engine) upResource(r int) {
-	if e.flapCnt != nil && e.quarUntil[r] > int32(e.curRound) {
-		// Held down by the quarantine: the rejoin is deferred until the
-		// cool-off expires.
-		e.quarWantUp[r] = true
-		return
-	}
+func (e *engine) setUp(r int) {
 	e.up.Up(r)
 	if e.reach != e.up && !e.inj.Isolated(r) {
 		e.reach.Up(r)
@@ -940,7 +884,6 @@ func (e *engine) upResource(r int) {
 		e.rehomeObs.ResourceUp(r)
 	}
 	e.res.Ups++
-	e.noteFlap(r)
 }
 
 // noteFlap counts one churn transition of resource r toward the
@@ -967,14 +910,7 @@ func (e *engine) noteFlap(r int) {
 			e.res.Quarantined--
 			return
 		}
-		e.up.Down(r)
-		if e.reach != e.up && e.reach.Contains(r) {
-			e.reach.Down(r)
-		}
-		if e.rehomeObs != nil {
-			e.rehomeObs.ResourceDown(r)
-		}
-		e.res.Downs++
+		e.setDown(r)
 		e.quarForcedDown++
 		e.quarWantUp[r] = true // it was up; rejoin when the hold expires
 	}
@@ -1000,15 +936,7 @@ func (e *engine) quarTick(t int) {
 		e.quarUntil[r] = 0
 		e.emitQuarantine(r, false, int(e.flapCnt[r]), t)
 		if e.quarWantUp[r] && !e.up.Contains(r) {
-			e.quarWantUp[r] = false
-			e.up.Up(r)
-			if e.reach != e.up && !e.inj.Isolated(r) {
-				e.reach.Up(r)
-			}
-			if e.rehomeObs != nil {
-				e.rehomeObs.ResourceUp(r)
-			}
-			e.res.Ups++
+			e.setUp(r)
 		}
 		e.quarWantUp[r] = false
 	}
@@ -1105,9 +1033,7 @@ func (e *engine) evacuate(bounce bool) {
 			e.emitTrace(&e.traceBuf[j])
 		}
 	}
-	e.pool.Run(len(e.shards), e.deliverFn)
-	st := e.exch.Finish(e.s, false)
-	e.noteInbound()
+	st := e.settle(false)
 	e.res.Rehomed += int64(st.Migrations)
 	e.res.RehomedWeight += st.MovedWeight
 	e.wRehomed += int64(st.Migrations)
@@ -1142,7 +1068,7 @@ func (e *engine) speedOf(r int) float64 {
 // resource order. Each resource's service capacity scales with its
 // speed.
 func (e *engine) serviceShard(i int) {
-	start := e.phaseStart()
+	start := e.clock()
 	sh := &e.shards[i]
 	s, svc := e.s, e.cfg.Service
 	for r := sh.lo; r < sh.hi; r++ {
@@ -1159,13 +1085,13 @@ func (e *engine) serviceShard(i int) {
 			sh.depFrom = append(sh.depFrom, int32(r))
 		}
 	}
-	e.phaseDone(i, obs.PhaseService, start)
+	e.lap(i, obs.PhaseService, start)
 }
 
 // proposeShard runs the protocol's propose phase over shard i and
 // routes the accepted moves into the exchange's per-destination lanes.
 func (e *engine) proposeShard(i int) {
-	start := e.phaseStart()
+	start := e.clock()
 	sh := &e.shards[i]
 	sh.sc.Moves = sh.sc.Moves[:0]
 	e.cfg.Protocol.ProposeRange(e.s, sh.lo, sh.hi, &sh.sc)
@@ -1200,15 +1126,15 @@ func (e *engine) proposeShard(i int) {
 		}
 	}
 	e.exch.Route(i, moves)
-	e.phaseDone(i, obs.PhasePropose, start)
+	e.lap(i, obs.PhasePropose, start)
 }
 
 // deliverShard merges and applies destination shard i's inbound
 // exchange lanes.
 func (e *engine) deliverShard(i int) {
-	start := e.phaseStart()
+	start := e.clock()
 	e.exch.DeliverShard(e.s, i)
-	e.phaseDone(i, obs.PhaseDeliver, start)
+	e.lap(i, obs.PhaseDeliver, start)
 }
 
 // evacShard pops every task off shard i's non-empty down resources and
@@ -1218,7 +1144,7 @@ func (e *engine) deliverShard(i int) {
 // policy. A policy that picks a down destination would strand the task
 // — that is a contract violation, caught here rather than absorbed.
 func (e *engine) evacShard(i int) {
-	start := e.phaseStart()
+	start := e.clock()
 	sh := &e.shards[i]
 	s, up := e.s, e.up
 	sh.evacMoves = sh.evacMoves[:0]
@@ -1250,41 +1176,26 @@ func (e *engine) evacShard(i int) {
 		}
 	}
 	e.exch.Route(i, sh.evacMoves)
-	e.phaseDone(i, obs.PhaseEvac, start)
+	e.lap(i, obs.PhaseEvac, start)
 }
 
-// phaseStart/phaseDone time one shard's slice of a parallel phase for
-// measured-cost sizing and phase profiling. Each shard index is
-// handled by exactly one worker per phase and the pool barrier orders
-// the writes, so the plain int64 accumulation is race-free.
-func (e *engine) phaseStart() time.Time {
+// clock and lap time the engine's phases, shard and sequential alike,
+// when phaseNanos is on: clock reads the wall clock, and lap charges
+// the time since start to phase p of row i (shard i, or len(shards)
+// for the sequential phases). Each shard index is handled by exactly
+// one worker per phase and the pool barrier orders the writes, so the
+// plain int64 accumulation is race-free.
+func (e *engine) clock() time.Time {
 	if e.phaseNanos == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-func (e *engine) phaseDone(i int, p obs.PhaseID, start time.Time) {
-	if e.phaseNanos == nil {
-		return
+func (e *engine) lap(i int, p obs.PhaseID, start time.Time) {
+	if e.phaseNanos != nil {
+		e.phaseNanos[i][p] += int64(time.Since(start))
 	}
-	e.phaseNanos[i][p] += int64(time.Since(start))
-}
-
-// seqStart/seqDone time the engine's sequential phases (arrivals, the
-// tuner refresh) when a broker wants phase profiles.
-func (e *engine) seqStart() time.Time {
-	if e.broker == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (e *engine) seqDone(p obs.PhaseID, start time.Time) {
-	if e.broker == nil {
-		return
-	}
-	e.seqNanos[p] += int64(time.Since(start))
 }
 
 // shardPhaseSum folds shard i's accumulated phase nanos into the one
@@ -1297,23 +1208,39 @@ func (e *engine) shardPhaseSum(i int) int64 {
 	return sum
 }
 
-// noteInbound attributes the batch just Finished to its destination
-// shards' window counters.
-func (e *engine) noteInbound() {
-	if e.wShardInb == nil {
-		return
+// settle runs the deliver phase of the batch routed into the exchange
+// (every destination shard merges its own inbound lanes), folds its
+// stats — advancing the protocol round when advance is set — and
+// attributes the batch to its destination shards' window counters.
+func (e *engine) settle(advance bool) core.StepStats {
+	e.pool.Run(len(e.shards), e.deliverFn)
+	st := e.exch.Finish(e.s, advance)
+	if e.wShardInb != nil {
+		for j := range e.shards {
+			e.wShardInb[j] += int64(e.exch.Delivered(j))
+		}
 	}
-	for j := range e.shards {
-		e.wShardInb[j] += int64(e.exch.Delivered(j))
-	}
+	return st
+}
+
+// countMigrations adds a settled protocol or fault-layer batch to the
+// migration totals.
+func (e *engine) countMigrations(st core.StepStats) {
+	e.res.Migrations += int64(st.Migrations)
+	e.res.MovedWeight += st.MovedWeight
+	e.wMigrations += int64(st.Migrations)
 }
 
 // rebalance re-cuts the shard partition so measured per-shard phase
 // cost equalises: each resource is charged its old shard's average
 // cost, and par.Balance places the new boundaries. Runs every
-// rebalanceEvery rounds; results are unaffected (every phase is
-// partition-invariant), only the work split moves.
+// telemetryEvery rounds when there is more than one shard; results are
+// unaffected (every phase is partition-invariant), only the work split
+// moves.
 func (e *engine) rebalance() {
+	if len(e.shards) < 2 {
+		return
+	}
 	total := int64(0)
 	for i := range e.shards {
 		total += e.shardPhaseSum(i)
@@ -1371,7 +1298,7 @@ func (e *engine) emitTelemetry(round int) {
 		e.broker.Publish(&e.ev)
 	}
 	e.ev = obs.Event{Kind: obs.KindPhase, Round: round,
-		Phase: obs.PhaseStats{Shard: -1, Nanos: e.seqNanos}}
+		Phase: obs.PhaseStats{Shard: -1, Nanos: e.phaseNanos[w]}}
 	e.broker.Publish(&e.ev)
 	if e.inj != nil || e.flapCnt != nil {
 		var c faults.Counters
@@ -1395,10 +1322,7 @@ func (e *engine) emitTelemetry(round int) {
 // telemetry report and/or rebalance consumed them.
 func (e *engine) resetTelemetry() {
 	e.exch.ResetLaneCounts()
-	for i := range e.phaseNanos {
-		e.phaseNanos[i] = [obs.NumPhases]int64{}
-	}
-	e.seqNanos = [obs.NumPhases]int64{}
+	clear(e.phaseNanos)
 }
 
 // emitRecovery publishes the current recovery episode's transition.
@@ -1423,12 +1347,10 @@ func (e *engine) flush(end int) {
 		return
 	}
 	s, up := e.s, e.up
-	e.loadBuf = e.loadBuf[:0]
+	e.loadBuf, e.normBuf = e.loadBuf[:0], e.normBuf[:0]
 	for i := 0; i < up.N(); i++ {
-		e.loadBuf = append(e.loadBuf, s.Load(up.At(i)))
+		e.addLoad(up.At(i))
 	}
-	e.sortBuf = append(e.sortBuf[:0], e.loadBuf...)
-	sort.Float64s(e.sortBuf)
 	ws := WindowStats{
 		Start:          e.windowStart,
 		End:            end,
@@ -1437,24 +1359,11 @@ func (e *engine) flush(end int) {
 		RehomeRate:     float64(e.wRehomed) / rounds,
 		ArrivalRate:    float64(e.wArrivals) / rounds,
 		DepartureRate:  float64(e.wDepartures) / rounds,
-		MeanLoad:       stats.Mean(e.loadBuf),
-		MaxLoad:        e.sortBuf[len(e.sortBuf)-1],
-		P99Load:        stats.QuantileSorted(e.sortBuf, 0.99),
 		InFlight:       e.ts.Live(),
 		InFlightWeight: s.InFlightWeight(),
 		UpResources:    up.N(),
 	}
-	if e.speeds == nil {
-		ws.P99LoadPerSpeed = ws.P99Load
-	} else {
-		e.normBuf = e.normBuf[:0]
-		for i := 0; i < up.N(); i++ {
-			r := up.At(i)
-			e.normBuf = append(e.normBuf, s.Load(r)/e.speeds[r])
-		}
-		sort.Float64s(e.normBuf)
-		ws.P99LoadPerSpeed = stats.QuantileSorted(e.normBuf, 0.99)
-	}
+	ws.MeanLoad, ws.MaxLoad, ws.P99Load, ws.P99LoadPerSpeed = e.loadStats()
 	e.res.Windows = append(e.res.Windows, ws)
 	if e.broker != nil {
 		e.ev = obs.Event{Kind: obs.KindWindow, Round: end, Window: ws}
@@ -1473,6 +1382,33 @@ func (e *engine) flush(end int) {
 	e.windowStart = end
 }
 
+// addLoad appends resource r's load, and on a heterogeneous fleet its
+// load per speed, to the window scratch, and returns the load.
+func (e *engine) addLoad(r int) float64 {
+	load := e.s.Load(r)
+	e.loadBuf = append(e.loadBuf, load)
+	if e.speeds != nil {
+		e.normBuf = append(e.normBuf, load/e.speeds[r])
+	}
+	return load
+}
+
+// loadStats summarises the non-empty window scratch that addLoad
+// filled: the mean load (summed in the order the caller added the
+// resources), the max and p99 load, and the p99 load per speed (the p99
+// load on a homogeneous fleet). It sorts the scratch in place.
+func (e *engine) loadStats() (mean, max, p99, p99PerSpeed float64) {
+	mean = stats.Mean(e.loadBuf)
+	sort.Float64s(e.loadBuf)
+	max = e.loadBuf[len(e.loadBuf)-1]
+	p99 = stats.QuantileSorted(e.loadBuf, 0.99)
+	if e.speeds == nil {
+		return mean, max, p99, p99
+	}
+	sort.Float64s(e.normBuf)
+	return mean, max, p99, stats.QuantileSorted(e.normBuf, 0.99)
+}
+
 // emitShardWindows publishes one ShardWindowStats event per worker
 // shard for the window ending at `end`: a load snapshot over the
 // shard's up resources plus the window's attributed traffic rates.
@@ -1482,15 +1418,14 @@ func (e *engine) emitShardWindows(end int, rounds float64) {
 	s, up := e.s, e.up
 	for i := range e.shards {
 		sh := &e.shards[i]
-		e.shardLoadBuf = e.shardLoadBuf[:0]
+		e.loadBuf, e.normBuf = e.loadBuf[:0], e.normBuf[:0]
 		inFlight, over := 0, 0
 		weight := 0.0
 		for r := sh.lo; r < sh.hi; r++ {
 			if !up.Contains(r) {
 				continue
 			}
-			load := s.Load(r)
-			e.shardLoadBuf = append(e.shardLoadBuf, load)
+			load := e.addLoad(r)
 			inFlight += s.Count(r)
 			weight += load
 			if s.Overloaded(r) {
@@ -1505,26 +1440,11 @@ func (e *engine) emitShardWindows(end int, rounds float64) {
 			InboundRate:    float64(e.wShardInb[i]) / rounds,
 			InFlight:       inFlight,
 			InFlightWeight: weight,
-			UpResources:    len(e.shardLoadBuf),
+			UpResources:    len(e.loadBuf),
 		}
-		if n := len(e.shardLoadBuf); n > 0 {
+		if n := len(e.loadBuf); n > 0 {
 			sws.OverloadFrac = float64(over) / float64(n)
-			sws.MeanLoad = stats.Mean(e.shardLoadBuf)
-			sort.Float64s(e.shardLoadBuf)
-			sws.MaxLoad = e.shardLoadBuf[n-1]
-			sws.P99Load = stats.QuantileSorted(e.shardLoadBuf, 0.99)
-			if e.speeds == nil {
-				sws.P99LoadPerSpeed = sws.P99Load
-			} else {
-				e.shardNormBuf = e.shardNormBuf[:0]
-				for r := sh.lo; r < sh.hi; r++ {
-					if up.Contains(r) {
-						e.shardNormBuf = append(e.shardNormBuf, s.Load(r)/e.speeds[r])
-					}
-				}
-				sort.Float64s(e.shardNormBuf)
-				sws.P99LoadPerSpeed = stats.QuantileSorted(e.shardNormBuf, 0.99)
-			}
+			sws.MeanLoad, sws.MaxLoad, sws.P99Load, sws.P99LoadPerSpeed = e.loadStats()
 		}
 		e.ev = obs.Event{Kind: obs.KindShardWindow, Round: end, ShardWindow: sws}
 		e.broker.Publish(&e.ev)

@@ -456,32 +456,31 @@ func TestChurnEventsRespectMinUp(t *testing.T) {
 
 // TestMeasuredCostRebalance drives the measured-cost shard sizing with
 // a deliberately skewed workload (hotspot ingress) and checks the
-// observability contract: every rebalance period publishes one
+// observability contract: every 64-round rebalance period publishes one
 // KindShardCost event per shard, together a valid, cost-annotated
-// partition — and the run still matches the equal-partition run bit for
+// partition — and the run still matches the one-worker run bit for
 // bit, because boundary placement can never leak into results.
 func TestMeasuredCostRebalance(t *testing.T) {
 	g := graph.Complete(200)
-	build := func(every int) Config {
+	build := func(workers int) Config {
 		return Config{
-			Graph:          g,
-			Protocol:       core.UserControlled{Alpha: 1},
-			Arrivals:       Poisson{Rate: 0.8 * 200 / paretoMean, Weights: task.Pareto{Alpha: 2, Cap: 20}},
-			Service:        WeightProportional{Rate: 1},
-			Dispatch:       HotspotDispatch{Resource: 7},
-			Tuner:          &OracleTuner{Eps: 0.5},
-			Rounds:         200,
-			Window:         50,
-			Seed:           12,
-			Workers:        4,
-			RebalanceEvery: every,
+			Graph:    g,
+			Protocol: core.UserControlled{Alpha: 1},
+			Arrivals: Poisson{Rate: 0.8 * 200 / paretoMean, Weights: task.Pareto{Alpha: 2, Cap: 20}},
+			Service:  WeightProportional{Rate: 1},
+			Dispatch: HotspotDispatch{Resource: 7},
+			Tuner:    &OracleTuner{Eps: 0.5},
+			Rounds:   512,
+			Window:   50,
+			Seed:     12,
+			Workers:  workers,
 		}
 	}
-	ref, err := Run(build(-1)) // pinned equal partition
+	ref, err := Run(build(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := build(25)
+	cfg := build(4)
 	broker := obs.NewBroker()
 	cfg.Obs = broker
 	sub := broker.Subscribe(obs.SubOptions{Kinds: obs.Mask(obs.KindShardCost), Capacity: 1 << 10})
@@ -499,12 +498,12 @@ func TestMeasuredCostRebalance(t *testing.T) {
 		byRound[ev.Round] = append(byRound[ev.Round], ev.ShardCost)
 	}
 	if len(rounds) != 8 {
-		t.Fatalf("shard costs reported at rounds %v over 200 rounds at period 25", rounds)
+		t.Fatalf("shard costs reported at rounds %v over 512 rounds at period 64", rounds)
 	}
 	for _, round := range rounds {
 		sts := byRound[round]
-		if round%25 != 0 {
-			t.Fatalf("rebalance at round %d with period 25", round)
+		if round%64 != 0 {
+			t.Fatalf("rebalance at round %d with period 64", round)
 		}
 		if len(sts) != 4 {
 			t.Fatalf("rebalance saw %d shards", len(sts))

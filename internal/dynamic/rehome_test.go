@@ -13,7 +13,7 @@ import (
 
 // listEventConfig is the scripted-list workload: a named block of
 // resources dies at round 40 and rejoins at 80, under steady traffic.
-func listEventConfig(n int, seed uint64, workers int, rehome RehomePolicy) Config {
+func listEventConfig(n int, seed uint64, workers int, rehome Dispatch) Config {
 	g := graph.Complete(n)
 	downList := make([]int, n/4)
 	for i := range downList {
@@ -182,11 +182,11 @@ func TestRecoveryStatsCensored(t *testing.T) {
 // bit-identical to its own sequential run, and the load-aware policy
 // must actually change the outcome relative to uniform.
 func TestRehomePoliciesDeterministic(t *testing.T) {
-	build := func(p RehomePolicy) RehomePolicy { return p }
-	policies := map[string]func() RehomePolicy{
-		"uniform":  func() RehomePolicy { return build(UniformRehome{}) },
-		"power2":   func() RehomePolicy { return build(PowerOfDRehome{D: 2}) },
-		"speedwtd": func() RehomePolicy { return build(&SpeedWeightedRehome{}) },
+	build := func(p Dispatch) Dispatch { return p }
+	policies := map[string]func() Dispatch{
+		"uniform":  func() Dispatch { return build(UniformDispatch{}) },
+		"power2":   func() Dispatch { return build(PowerOfD{D: 2}) },
+		"speedwtd": func() Dispatch { return build(&SpeedWeighted{}) },
 	}
 	speeds := speedProfile(80)
 	var uniformRef, power2Ref Result
@@ -225,30 +225,31 @@ func TestRehomePoliciesDeterministic(t *testing.T) {
 }
 
 // TestNilRehomeMatchesUniform pins the extraction: an explicit
-// UniformRehome must replay the nil-policy (default) run bit for bit —
+// UniformDispatch must replay the nil-policy (default) run bit for bit —
 // the pre-policy engine's behaviour.
 func TestNilRehomeMatchesUniform(t *testing.T) {
 	a, err := Run(listEventConfig(60, 11, 2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(listEventConfig(60, 11, 2, UniformRehome{}))
+	b, err := Run(listEventConfig(60, 11, 2, UniformDispatch{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("UniformRehome diverges from the nil-policy default")
+		t.Fatal("UniformDispatch diverges from the nil-policy default")
 	}
 }
 
 // TestOnLanesTelemetry pins the exchange backpressure telemetry: every
 // routed move — protocol migrations AND churn evacuations — shows up in
 // the KindLanes events' inbound totals, the reports arrive on the
-// rebalance cadence, and attaching the broker does not change the run.
+// 64-round telemetry period, and attaching the broker does not change
+// the run.
 func TestOnLanesTelemetry(t *testing.T) {
 	build := func() Config {
 		cfg := listEventConfig(120, 13, 4, nil)
-		cfg.RebalanceEvery = 30
+		cfg.Rounds = 256
 		return cfg
 	}
 	ref, err := Run(build())
@@ -267,8 +268,8 @@ func TestOnLanesTelemetry(t *testing.T) {
 	var total int64
 	perRound := map[int]int{}
 	for _, ev := range drainAll(sub) {
-		if ev.Round%30 != 0 {
-			t.Fatalf("lane report at round %d with period 30", ev.Round)
+		if ev.Round%64 != 0 {
+			t.Fatalf("lane report at round %d with period 64", ev.Round)
 		}
 		if ev.Lane.Shard != perRound[ev.Round] || ev.Lane.Inbound < 0 {
 			t.Fatalf("round %d: lane event %+v out of shard order or negative", ev.Round, ev.Lane)
@@ -277,7 +278,7 @@ func TestOnLanesTelemetry(t *testing.T) {
 		total += ev.Lane.Inbound
 	}
 	if len(perRound) != 4 {
-		t.Fatalf("lanes reported at %d rounds over 120 rounds at period 30", len(perRound))
+		t.Fatalf("lanes reported at %d rounds over 256 rounds at period 64", len(perRound))
 	}
 	for round, shards := range perRound {
 		if shards != 4 {

@@ -118,12 +118,9 @@ func (en *Engine) SetDispatch(d Dispatch) error {
 	if d == nil {
 		return fmt.Errorf("dynamic: SetDispatch(nil)")
 	}
-	e := en.e
-	if e.speeds != nil {
-		if sw, ok := d.(interface{ Prime([]float64) }); ok {
-			sw.Prime(e.speeds)
-		}
+	if _, ok := d.(RehomeObserver); ok {
+		return fmt.Errorf("dynamic: SetDispatch(%s): a policy that tracks the up set can only re-home", d.Name())
 	}
-	e.dispatch = d
+	en.e.dispatch = en.e.prime(d)
 	return nil
 }

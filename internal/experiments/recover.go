@@ -67,12 +67,12 @@ func DynamicRecover(cfg Config) *Table {
 	}
 	policies := []struct {
 		name string
-		mk   func() dynamic.RehomePolicy
+		mk   func() dynamic.Dispatch
 	}{
-		{"uniform", func() dynamic.RehomePolicy { return dynamic.UniformRehome{} }},
-		{"power-of-2", func() dynamic.RehomePolicy { return dynamic.PowerOfDRehome{D: 2} }},
-		{"locality", func() dynamic.RehomePolicy { return &recovery.Locality{Topo: topo} }},
-		{"speed-weighted", func() dynamic.RehomePolicy { return &dynamic.SpeedWeightedRehome{} }},
+		{"uniform", func() dynamic.Dispatch { return dynamic.UniformDispatch{} }},
+		{"power-of-2", func() dynamic.Dispatch { return dynamic.PowerOfD{D: 2} }},
+		{"locality", func() dynamic.Dispatch { return &recovery.Locality{Topo: topo} }},
+		{"speed-weighted", func() dynamic.Dispatch { return &dynamic.SpeedWeighted{} }},
 	}
 
 	t := &Table{

@@ -16,7 +16,7 @@ import (
 // failure trace is an ordinary scripted input — replay stays
 // bit-for-bit identical for any worker count, the schedule passes the
 // engine's config-time validation by construction, and the same trace
-// can be rerun against every RehomePolicy.
+// can be rerun against every re-home policy.
 //
 // Three alternating-renewal process families compose (all times are
 // exponential, in rounds):

@@ -116,8 +116,8 @@ func swapRemove(list []int32, pos []int32, r int) []int32 {
 	return list[:last]
 }
 
-// Pick implements dynamic.RehomePolicy: same rack, then same zone,
-// then anywhere.
+// Pick implements dynamic.Dispatch for the re-home slot: same rack,
+// then same zone, then anywhere.
 func (l *Locality) Pick(s *core.State, up *dynamic.UpSet, speeds []float64, from int, w float64, rr *rng.Rand) int {
 	k := l.Topo.RackOf(from)
 	if list := l.rackUp[k]; len(list) > 0 {
@@ -134,6 +134,6 @@ func (*Locality) Name() string { return "locality" }
 
 // Interface conformance, pinned at compile time.
 var (
-	_ dynamic.RehomePolicy   = (*Locality)(nil)
+	_ dynamic.Dispatch       = (*Locality)(nil)
 	_ dynamic.RehomeObserver = (*Locality)(nil)
 )

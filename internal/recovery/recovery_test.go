@@ -31,7 +31,7 @@ func testSpeeds(n int) ([]float64, float64) {
 // mirroring the topology, heterogeneous speeds, ρ = 0.8 Poisson
 // traffic, self-tuned thresholds, and the given scripted events and
 // re-home policy.
-func recoverConfig(topo *Topology, events []dynamic.ChurnEvent, seed uint64, workers int, rehome dynamic.RehomePolicy) dynamic.Config {
+func recoverConfig(topo *Topology, events []dynamic.ChurnEvent, seed uint64, workers int, rehome dynamic.Dispatch) dynamic.Config {
 	n := topo.N()
 	g := topo.ClusterGraph(6, 2, 1234)
 	speeds, totalSpeed := testSpeeds(n)
@@ -58,16 +58,16 @@ func recoverConfig(topo *Topology, events []dynamic.ChurnEvent, seed uint64, wor
 // constructor (stateful policies must not be shared across runs).
 func rehomePolicies(topo *Topology) []struct {
 	name string
-	mk   func() dynamic.RehomePolicy
+	mk   func() dynamic.Dispatch
 } {
 	return []struct {
 		name string
-		mk   func() dynamic.RehomePolicy
+		mk   func() dynamic.Dispatch
 	}{
-		{"uniform", func() dynamic.RehomePolicy { return dynamic.UniformRehome{} }},
-		{"power2", func() dynamic.RehomePolicy { return dynamic.PowerOfDRehome{D: 2} }},
-		{"locality", func() dynamic.RehomePolicy { return &Locality{Topo: topo} }},
-		{"speed", func() dynamic.RehomePolicy { return &dynamic.SpeedWeightedRehome{} }},
+		{"uniform", func() dynamic.Dispatch { return dynamic.UniformDispatch{} }},
+		{"power2", func() dynamic.Dispatch { return dynamic.PowerOfD{D: 2} }},
+		{"locality", func() dynamic.Dispatch { return &Locality{Topo: topo} }},
+		{"speed", func() dynamic.Dispatch { return &dynamic.SpeedWeighted{} }},
 	}
 }
 
@@ -130,7 +130,7 @@ func TestLocalityKeepsEvacuationLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := []dynamic.ChurnEvent{{Round: 100, DownList: topo.RackList(0, nil)}}
-	zone0At100 := func(rehome dynamic.RehomePolicy) (float64, float64) {
+	zone0At100 := func(rehome dynamic.Dispatch) (float64, float64) {
 		cfg := recoverConfig(topo, events, 5, 2, rehome)
 		weight := 0.0
 		cfg.OnRound = func(round int, s *core.State) {
@@ -156,7 +156,7 @@ func TestLocalityKeepsEvacuationLocal(t *testing.T) {
 	if evacW <= 0 {
 		t.Fatal("the dead rack held no weight — workload too thin for the test")
 	}
-	uniform, _ := zone0At100(dynamic.UniformRehome{})
+	uniform, _ := zone0At100(dynamic.UniformDispatch{})
 	if local <= uniform {
 		t.Fatalf("locality kept %v weight in the victim's zone, uniform kept %v — locality is not keeping work local",
 			local, uniform)

@@ -379,6 +379,13 @@ func TestDynamicScenarioValidation(t *testing.T) {
 		{func(s *DynamicScenario) { s.Protocol = ProtocolKind(99) }, "unknown protocol"},
 		{func(s *DynamicScenario) { s.InitialWeights = []float64{0.2} }, "below 1"},
 		{func(s *DynamicScenario) {
+			topo, err := SynthTopology(8, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Dispatch = LocalityRehome(topo)
+		}, "only the re-home slot"},
+		{func(s *DynamicScenario) {
 			s.Graph = CustomGraph("islands", 4, [][2]int{{0, 1}, {2, 3}})
 		}, "connected"},
 	}
