@@ -63,12 +63,31 @@ type RoundRecord struct {
 // a newline. A NaN or infinite weight fails as json.Marshal does, and
 // nothing is written.
 func AppendRecord(w io.Writer, rec *RoundRecord) error {
-	b, err := appendRecord(make([]byte, 0, 64+20*len(rec.Weights)), rec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	_, err := writeRecord(w, make([]byte, 0, 64+20*len(rec.Weights)), rec)
 	return err
+}
+
+// WriteRecords writes recs as AppendRecord writes each of them, one
+// Write per record, formatting every line into one reused buffer.
+func WriteRecords(w io.Writer, recs []RoundRecord) error {
+	var b []byte
+	for i := range recs {
+		var err error
+		if b, err = writeRecord(w, b, &recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeRecord formats rec's line into b's storage and writes it with
+// one Write, returning the buffer for the next line.
+func writeRecord(w io.Writer, b []byte, rec *RoundRecord) ([]byte, error) {
+	b, err := appendRecord(b[:0], rec)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return b, err
 }
 
 // appendRecord appends AppendRecord's line for rec to b.

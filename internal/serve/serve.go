@@ -226,10 +226,7 @@ func (rt *Runtime) StepRound() error {
 	// last records written (ROADMAP item 7).
 	if rt.opts.LogWriter != nil {
 		var err error
-		if rt.logBuf, err = appendRecord(rt.logBuf[:0], &rec); err == nil {
-			_, err = rt.opts.LogWriter.Write(rt.logBuf)
-		}
-		if err != nil {
+		if rt.logBuf, err = writeRecord(rt.opts.LogWriter, rt.logBuf, &rec); err != nil {
 			return fmt.Errorf("serve: round log: %w", err)
 		}
 	}

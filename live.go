@@ -104,14 +104,7 @@ func (sc DynamicScenario) ReplayRoundLog(recs []RoundRecord) (DynamicResult, err
 func ReadRoundLog(r io.Reader) ([]RoundRecord, error) { return serve.ReadRoundLog(r) }
 
 // WriteRoundLog writes records as a JSONL round log.
-func WriteRoundLog(w io.Writer, recs []RoundRecord) error {
-	for i := range recs {
-		if err := serve.AppendRecord(w, &recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func WriteRoundLog(w io.Writer, recs []RoundRecord) error { return serve.WriteRecords(w, recs) }
 
 // LiveRoutes mounts the runtime's HTTP front door (POST /ingest, POST
 // /reconfig, GET /statusz, GET /healthz) on mux — typically the obs
