@@ -128,7 +128,7 @@ func TestPotentialAndActive(t *testing.T) {
 	if got := s.Potential(); got != 1 {
 		t.Fatalf("potential=%v want 1", got)
 	}
-	if got := s.ActiveTasks(); got != 1 {
+	if got := s.Stack(0).OverflowCount(s.Threshold(0)) + s.Stack(1).OverflowCount(s.Threshold(1)); got != 1 {
 		t.Fatalf("active=%d want 1", got)
 	}
 	if s.Balanced() {
@@ -271,9 +271,6 @@ func TestUserControlledLeaveProbabilityCapped(t *testing.T) {
 
 func TestTheoryAlphas(t *testing.T) {
 	if got := TheoryAlphaAboveAverage(0.2); math.Abs(got-0.2/144) > 1e-15 {
-		t.Fatalf("alpha=%v", got)
-	}
-	if got := TheoryAlphaTight(1000); math.Abs(got-1.0/120000) > 1e-18 {
 		t.Fatalf("alpha=%v", got)
 	}
 }
@@ -605,7 +602,7 @@ func TestProportionalShareInto(t *testing.T) {
 	ts := unitTasks(100)
 	p := Proportional{Speeds: []float64{1, 3}, Eps: 0.2}
 	dst := make([]float64, 2)
-	p.ShareInto(dst, ts.W(), ts.WMax(), SpeedSum(p.Speeds))
+	p.ShareInto(dst, ts.W(), ts.WMax(), 1+3)
 	want := p.Values(ts, 2)
 	for i := range want {
 		if math.Abs(dst[i]-want[i]) > 1e-12 {
@@ -831,7 +828,7 @@ func TestThresholdRefresh(t *testing.T) {
 	}
 	// Growing the task set and refreshing recomputes from live totals.
 	s.InsertTask(6, 0) // W=10, wmax=6
-	s.RefreshThresholds(TightUser{})
+	s.SetThresholds(TightUser{}.Values(s.Tasks(), s.N()))
 	if s.Threshold(0) != 11 { // 10/2 + 6
 		t.Fatalf("refreshed threshold %v", s.Threshold(0))
 	}
@@ -851,26 +848,10 @@ func TestProtocolsRunOnDynamicState(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		s.InsertTask(1+float64(i%3), 0) // all on one resource
 	}
-	s.RefreshThresholds(AboveAverage{Eps: 0.3})
+	s.SetThresholds(AboveAverage{Eps: 0.3}.Values(s.Tasks(), s.N()))
 	res := Run(s, UserControlled{Alpha: 1}, RunOptions{MaxRounds: 100000, CheckInvariants: true})
 	if !res.Balanced {
 		t.Fatalf("dynamic-grown state did not balance: %+v", res)
-	}
-}
-
-func TestRemoveTasksAtBatch(t *testing.T) {
-	g := graph.Complete(2)
-	ts := task.NewSet([]float64{2, 3, 4, 5})
-	s := NewState(g, ts, []int{0, 0, 0, 0}, FixedVector{V: []float64{99, 99}}, 1)
-	out := s.RemoveTasksAt(0, []int{0, 2})
-	if len(out) != 2 || out[0].Weight != 2 || out[1].Weight != 4 {
-		t.Fatalf("batch removal returned %+v", out)
-	}
-	if s.Load(0) != 8 || s.InFlightWeight() != 8 || !s.Tasks().Removed(out[0].ID) {
-		t.Fatalf("post-removal state: load=%v W=%v", s.Load(0), s.InFlightWeight())
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

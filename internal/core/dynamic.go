@@ -107,17 +107,6 @@ func (s *State) RemoveTaskAt(r, idx int) task.Task {
 	return tk
 }
 
-// RemoveTasksAt removes the tasks at the given strictly increasing
-// stack positions of resource r in one compaction pass — the batch
-// departure primitive (a round's service completions).
-func (s *State) RemoveTasksAt(r int, indices []int) []task.Task {
-	out := s.RemoveForDeparture(r, indices, nil)
-	for _, tk := range out {
-		s.SettleDeparture(tk)
-	}
-	return out
-}
-
 // RemoveForDeparture runs the per-resource half of a batch departure:
 // the tasks at the given strictly increasing stack positions of
 // resource r leave the stack (appended to dst) and their locations are
@@ -205,17 +194,6 @@ func (s *State) Attach(t task.Task, r int) {
 func (s *State) SetThresholds(v []float64) {
 	if len(v) != len(s.stacks) {
 		panic(fmt.Sprintf("core: SetThresholds got %d values, need %d", len(v), len(s.stacks)))
-	}
-	copy(s.thr, v)
-	s.recountOverloaded()
-}
-
-// RefreshThresholds recomputes the thresholds from policy against the
-// current (possibly grown or shrunk) task set.
-func (s *State) RefreshThresholds(policy Thresholds) {
-	v := policy.Values(s.ts, len(s.stacks))
-	if len(v) != len(s.stacks) {
-		panic("core: threshold policy returned wrong length")
 	}
 	copy(s.thr, v)
 	s.recountOverloaded()

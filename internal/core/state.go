@@ -220,16 +220,6 @@ func (s *State) ResourcePotential(r int) float64 {
 	return s.stacks[r].OverflowWeight(s.thr[r])
 }
 
-// ActiveTasks returns the number of tasks not yet accepted (cutting or
-// above on their current resource).
-func (s *State) ActiveTasks() int {
-	c := 0
-	for r := range s.stacks {
-		c += s.stacks[r].OverflowCount(s.thr[r])
-	}
-	return c
-}
-
 // AcceptFraction returns the fraction of resources that could accept an
 // extra task of weight wmax — the quantity Lemma 1 lower-bounds by
 // ε/(1+ε) for above-average thresholds.

@@ -179,16 +179,6 @@ func (p Proportional) Values(ts *task.Set, n int) []float64 {
 // Name identifies the policy.
 func (p Proportional) Name() string { return fmt.Sprintf("proportional(eps=%g)", p.Eps) }
 
-// SpeedSum returns Σ s_r over the speed vector — the S in the
-// proportional share W·s_r/S.
-func SpeedSum(speeds []float64) float64 {
-	total := 0.0
-	for _, s := range speeds {
-		total += s
-	}
-	return total
-}
-
 // ShareInto writes the speed-proportional thresholds
 //
 //	dst[r] = (1+ε)·W·s_r/total + wmax

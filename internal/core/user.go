@@ -26,9 +26,6 @@ type UserControlled struct {
 // α = ε/(120(1+ε)).
 func TheoryAlphaAboveAverage(eps float64) float64 { return eps / (120 * (1 + eps)) }
 
-// TheoryAlphaTight returns the Theorem 12 analysis constant 1/(120n).
-func TheoryAlphaTight(n int) float64 { return 1 / (120 * float64(n)) }
-
 // Name identifies the protocol.
 func (p UserControlled) Name() string {
 	return fmt.Sprintf("user-controlled(alpha=%g)", p.Alpha)

@@ -186,9 +186,6 @@ func NewInjector(plan *Plan, n, workers int, runSeed uint64) *Injector {
 // Counters returns the cumulative fault totals.
 func (inj *Injector) Counters() Counters { return inj.c }
 
-// LedgerSize returns the number of tasks currently awaiting retry.
-func (inj *Injector) LedgerSize() int { return len(inj.ledger) }
-
 // Isolated reports whether resource r is inside an active partition
 // window this round.
 func (inj *Injector) Isolated(r int) bool {

@@ -137,8 +137,8 @@ func TestInjectorRetryAndTimeout(t *testing.T) {
 			}
 		}
 	}
-	if inj.LedgerSize() != 0 {
-		t.Fatalf("%d flights still ledgered after the deadline", inj.LedgerSize())
+	if len(inj.ledger) != 0 {
+		t.Fatalf("%d flights still ledgered after the deadline", len(inj.ledger))
 	}
 	if int64(len(delivered)) != inj.c.Lost {
 		t.Fatalf("%d lost, %d re-delivered", inj.c.Lost, len(delivered))

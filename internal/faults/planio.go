@@ -207,15 +207,11 @@ func LoadPlanFile(path string, n int, resolve MemberResolver) (*Plan, error) {
 		func(r io.Reader) (*Plan, error) { return ReadPlanJSONL(r, n, resolve) })
 }
 
-// ParseMembers parses the loader's member-range syntax — semicolon- or
-// space-separated entries, each a single resource ID "256" or an
-// inclusive range "0-99" — into a member list.
-func ParseMembers(spec string) ([]int, error) {
-	return parseMembersWith(spec, nil)
-}
-
-// parseMembersWith parses member entries, resolving non-numeric
-// entries as failure-domain names when a resolver is supplied.
+// parseMembersWith parses the loader's member-range syntax —
+// semicolon- or space-separated entries, each a single resource ID
+// "256" or an inclusive range "0-99" — into a member list, resolving
+// non-numeric entries as failure-domain names when a resolver is
+// supplied.
 func parseMembersWith(spec string, resolve MemberResolver) ([]int, error) {
 	var members []int
 	for _, part := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ' ' }) {

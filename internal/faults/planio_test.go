@@ -128,7 +128,7 @@ func TestLoadPlanFile(t *testing.T) {
 }
 
 func TestParseMembers(t *testing.T) {
-	got, err := ParseMembers("0-2;7 9-10")
+	got, err := parseMembersWith("0-2;7 9-10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestParseMembers(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	for _, bad := range []string{"", "x", "3-1", "1-9999999", "1;;x"} {
-		if _, err := ParseMembers(bad); err == nil {
+		if _, err := parseMembersWith(bad, nil); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}

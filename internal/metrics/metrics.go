@@ -84,13 +84,3 @@ func Gini(loads []float64) float64 {
 	}
 	return weighted / (float64(n) * total)
 }
-
-// MakespanRatio returns Max/Average — the standard scheduling-quality
-// ratio (1 is perfect). Returns 1 for a zero-average vector.
-func MakespanRatio(loads []float64) float64 {
-	s := Measure(loads, math.Inf(1))
-	if s.Average == 0 {
-		return 1
-	}
-	return s.Max / s.Average
-}

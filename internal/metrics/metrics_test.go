@@ -94,15 +94,3 @@ func TestGiniPanicsNegative(t *testing.T) {
 	}()
 	Gini([]float64{-1, 2})
 }
-
-func TestMakespanRatio(t *testing.T) {
-	if r := MakespanRatio([]float64{2, 2, 2}); r != 1 {
-		t.Fatalf("ratio=%v", r)
-	}
-	if r := MakespanRatio([]float64{0, 0, 6}); r != 3 {
-		t.Fatalf("ratio=%v", r)
-	}
-	if r := MakespanRatio([]float64{0, 0}); r != 1 {
-		t.Fatalf("zero ratio=%v", r)
-	}
-}

@@ -80,13 +80,6 @@ func (b *Broker) Subscribe(o SubOptions) *Subscription {
 	return s
 }
 
-// Subscribers returns the number of attached subscriptions.
-func (b *Broker) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // Publish assigns the event its sequence number and copies it into
 // every matching subscription's ring. It never blocks and never
 // allocates; full rings drop per their policy. The event value is
@@ -271,13 +264,6 @@ func (s *Subscription) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Buffered returns the number of events currently waiting in the ring.
-func (s *Subscription) Buffered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
 }
 
 // Close detaches the subscription from its broker and wakes a blocked

@@ -214,8 +214,8 @@ func TestSubscriptionClose(t *testing.T) {
 	s1.Close() // idempotent
 	ev2 := winEvent(2)
 	b.Publish(&ev2)
-	if got := b.Subscribers(); got != 1 {
-		t.Errorf("Subscribers = %d, want 1", got)
+	if got := len(b.subs); got != 1 {
+		t.Errorf("%d subscriptions attached, want 1", got)
 	}
 	// s1 keeps its pre-close buffer but sees nothing new.
 	if evs := s1.Poll(nil); len(evs) != 1 || evs[0].Round != 1 {

@@ -131,23 +131,14 @@ func (s *Stack) OverflowCount(t float64) int {
 	return len(s.tasks) - below
 }
 
-// PopOverflow removes and returns (in bottom-to-top order) every task
-// that is cutting or above threshold t — one step of the
-// resource-controlled protocol from this resource's perspective. The
-// remaining prefix is untouched, so previously accepted tasks keep
-// their heights ("once a task is accepted by a resource, it will never
-// leave that resource again").
-func (s *Stack) PopOverflow(t float64) []task.Task {
-	if below, _ := s.Partition(t); below == len(s.tasks) {
-		return nil
-	}
-	return s.PopOverflowAppend(t, nil)
-}
-
-// PopOverflowAppend is PopOverflow into a caller-provided buffer: the
-// removed tasks are appended to dst, which is returned. The hot-path
-// variant for the open-system engine, where per-shard scratch buffers
-// keep steady-state rounds allocation-free.
+// PopOverflowAppend removes every task that is cutting or above
+// threshold t — one step of the resource-controlled protocol from this
+// resource's perspective — and appends them, in bottom-to-top order, to
+// dst, which is returned. The remaining prefix is untouched, so
+// previously accepted tasks keep their heights ("once a task is
+// accepted by a resource, it will never leave that resource again").
+// Per-shard scratch buffers passed as dst keep the open-system
+// engine's steady-state rounds allocation-free.
 func (s *Stack) PopOverflowAppend(t float64, dst []task.Task) []task.Task {
 	below, _ := s.Partition(t)
 	for i := below; i < len(s.tasks); i++ {

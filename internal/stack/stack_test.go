@@ -104,7 +104,7 @@ func TestOverflowWeightAndCount(t *testing.T) {
 
 func TestPopOverflow(t *testing.T) {
 	s := mk(2, 3, 5)
-	removed := s.PopOverflow(4)
+	removed := s.PopOverflowAppend(4, nil)
 	if len(removed) != 2 || removed[0].Weight != 3 || removed[1].Weight != 5 {
 		t.Fatalf("removed=%v", removed)
 	}
@@ -115,7 +115,7 @@ func TestPopOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second pop is a no-op.
-	if got := s.PopOverflow(4); got != nil {
+	if got := s.PopOverflowAppend(4, nil); got != nil {
 		t.Fatalf("second pop returned %v", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestPopOverflowKeepsAcceptedPrefix(t *testing.T) {
 	// Once accepted (fully below), tasks never move again even after
 	// repeated pops at different loads.
 	s := mk(1, 1, 1, 10)
-	_ = s.PopOverflow(3.5)
+	_ = s.PopOverflowAppend(3.5, nil)
 	if s.Len() != 3 {
 		t.Fatalf("len=%d want 3", s.Len())
 	}
@@ -195,7 +195,7 @@ func TestRemoveIndicesPanics(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	s := mk(1, 2, 3)
 	c := s.Clone()
-	c.PopOverflow(0)
+	c.PopOverflowAppend(0, nil)
 	if s.Len() != 3 || s.Load() != 6 {
 		t.Fatal("clone mutation affected original")
 	}
@@ -231,7 +231,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 // Property: for random stacks and thresholds, the three classes
 // partition the stack contiguously (below*, cutting?, above*) and
-// PopOverflow removes exactly the non-below classes.
+// PopOverflowAppend removes exactly the non-below classes.
 func TestPropertyPartitionStructure(t *testing.T) {
 	r := rng.NewSeeded(42)
 	f := func(seed uint16) bool {
@@ -270,7 +270,7 @@ func TestPropertyPartitionStructure(t *testing.T) {
 		}
 		// Pop and check conservation.
 		before := s.Load()
-		removed := s.PopOverflow(thr)
+		removed := s.PopOverflowAppend(thr, nil)
 		sum := 0.0
 		for _, tk := range removed {
 			sum += tk.Weight
@@ -330,7 +330,7 @@ func BenchmarkPopOverflow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := base.Clone()
-		s.PopOverflow(500)
+		s.PopOverflowAppend(500, nil)
 	}
 }
 

@@ -167,9 +167,6 @@ func QuantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Histogram is a fixed-width bucket histogram over [Lo, Hi).
 type Histogram struct {
 	Lo, Hi   float64

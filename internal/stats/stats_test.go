@@ -107,7 +107,7 @@ func TestQuantile(t *testing.T) {
 	if got := Quantile(xs, 1); got != 9 {
 		t.Fatalf("q1=%v", got)
 	}
-	if got := Median(xs); !almostEq(got, 3.5, 1e-12) {
+	if got := Quantile(xs, 0.5); !almostEq(got, 3.5, 1e-12) {
 		t.Fatalf("median=%v", got)
 	}
 	// Input must be left untouched.

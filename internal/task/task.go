@@ -206,17 +206,6 @@ func (s *Set) W() float64 { return s.total }
 // WMax returns the maximum task weight ever seen (0 for an empty set).
 func (s *Set) WMax() float64 { return s.wmax }
 
-// WMin returns the minimum task weight ever seen (0 for an empty set).
-func (s *Set) WMin() float64 { return s.wmin }
-
-// WAvg returns the average live task weight W/Live (0 when empty).
-func (s *Set) WAvg() float64 {
-	if s.live == 0 {
-		return 0
-	}
-	return s.total / float64(s.live)
-}
-
 // Task returns the i-th task.
 func (s *Set) Task(i int) Task { return s.tasks[i] }
 

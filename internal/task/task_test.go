@@ -11,11 +11,11 @@ import (
 
 func TestNewSetAggregates(t *testing.T) {
 	s := NewSet([]float64{1, 50, 2, 1})
-	if s.M() != 4 || s.W() != 54 || s.WMax() != 50 || s.WMin() != 1 {
-		t.Fatalf("aggregates wrong: m=%d W=%v max=%v min=%v", s.M(), s.W(), s.WMax(), s.WMin())
+	if s.M() != 4 || s.W() != 54 || s.WMax() != 50 || s.wmin != 1 {
+		t.Fatalf("aggregates wrong: m=%d W=%v max=%v min=%v", s.M(), s.W(), s.WMax(), s.wmin)
 	}
-	if s.WAvg() != 13.5 {
-		t.Fatalf("avg=%v", s.WAvg())
+	if avg := s.W() / float64(s.Live()); avg != 13.5 {
+		t.Fatalf("avg=%v", avg)
 	}
 	if s.Task(1).ID != 1 || s.Task(1).Weight != 50 {
 		t.Fatalf("task(1)=%+v", s.Task(1))
@@ -97,8 +97,8 @@ func TestUniformRangeBounds(t *testing.T) {
 		}
 	}
 	s := NewSet(ws)
-	if math.Abs(s.WAvg()-4.5) > 0.1 {
-		t.Fatalf("mean=%v want 4.5", s.WAvg())
+	if avg := s.W() / float64(s.Live()); math.Abs(avg-4.5) > 0.1 {
+		t.Fatalf("mean=%v want 4.5", avg)
 	}
 }
 
@@ -282,21 +282,21 @@ func TestSortByWeightDesc(t *testing.T) {
 
 func TestDynamicSetAddRemove(t *testing.T) {
 	s := NewEmptySet()
-	if s.M() != 0 || s.Live() != 0 || s.W() != 0 || s.WMax() != 0 || s.WAvg() != 0 {
+	if s.M() != 0 || s.Live() != 0 || s.W() != 0 || s.WMax() != 0 {
 		t.Fatalf("empty set aggregates: m=%d live=%d W=%v", s.M(), s.Live(), s.W())
 	}
 	a := s.Add(3)
 	b := s.Add(7)
-	if a.ID != 0 || b.ID != 1 || s.Live() != 2 || s.W() != 10 || s.WMax() != 7 || s.WMin() != 3 {
-		t.Fatalf("after adds: %+v %+v live=%d W=%v max=%v min=%v", a, b, s.Live(), s.W(), s.WMax(), s.WMin())
+	if a.ID != 0 || b.ID != 1 || s.Live() != 2 || s.W() != 10 || s.WMax() != 7 || s.wmin != 3 {
+		t.Fatalf("after adds: %+v %+v live=%d W=%v max=%v min=%v", a, b, s.Live(), s.W(), s.WMax(), s.wmin)
 	}
 	s.Remove(a.ID)
 	if s.Live() != 1 || s.W() != 7 || !s.Removed(a.ID) || s.Removed(b.ID) {
 		t.Fatalf("after remove: live=%d W=%v", s.Live(), s.W())
 	}
 	// Watermarks never shrink: thresholds computed from them stay valid.
-	if s.WMax() != 7 || s.WMin() != 3 {
-		t.Fatalf("watermarks moved: max=%v min=%v", s.WMax(), s.WMin())
+	if s.WMax() != 7 || s.wmin != 3 {
+		t.Fatalf("watermarks moved: max=%v min=%v", s.WMax(), s.wmin)
 	}
 	// Tombstoned IDs are recycled LIFO, so ID-indexed arrays stay
 	// proportional to the in-flight population.
@@ -304,8 +304,8 @@ func TestDynamicSetAddRemove(t *testing.T) {
 	if c.ID != a.ID || s.M() != 2 || s.Live() != 2 || s.W() != 9 || s.Removed(c.ID) {
 		t.Fatalf("post-tombstone add: %+v m=%d live=%d W=%v", c, s.M(), s.Live(), s.W())
 	}
-	if s.WAvg() != 4.5 {
-		t.Fatalf("live average %v want 4.5", s.WAvg())
+	if avg := s.W() / float64(s.Live()); avg != 4.5 {
+		t.Fatalf("live average %v want 4.5", avg)
 	}
 	// The ID space only extends once the free list is drained.
 	d := s.Add(5)

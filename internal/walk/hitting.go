@@ -156,21 +156,3 @@ func MaxHittingTimeSampled(k Kernel, targets int, tol float64, maxIters int, r *
 	}
 	return best
 }
-
-// MonteCarloHitting estimates H_{u,v} by simulating walks from u until
-// they reach v, averaged over trials. cap bounds each walk's length;
-// capped walks contribute cap (biasing the estimate low), so choose cap
-// well above the expected hitting time.
-func MonteCarloHitting(k Kernel, u, v, trials, cap int, r *rng.Rand) float64 {
-	total := 0.0
-	for i := 0; i < trials; i++ {
-		pos := u
-		t := 0
-		for pos != v && t < cap {
-			pos = k.Step(pos, r)
-			t++
-		}
-		total += float64(t)
-	}
-	return total / float64(trials)
-}
