@@ -141,8 +141,8 @@ type RehomeObserver interface {
 }
 
 // UniformDispatch sends each task to a uniformly random up resource —
-// the baseline "no ingress knowledge" routing and the engine's original
-// evacuation rule. A nil Config.Dispatch or Config.Rehome selects it.
+// the baseline "no ingress knowledge" routing. A nil Config.Dispatch or
+// Config.Rehome selects it.
 type UniformDispatch struct{}
 
 // Pick implements Dispatch.

@@ -279,10 +279,9 @@ type Config struct {
 	// that tracks the up set (a RehomeObserver) can only re-home.
 	Dispatch Dispatch
 	// Rehome picks the destination of every task evacuated off a failed
-	// resource; nil means UniformDispatch (the original engine
-	// behaviour, bit-identical draws included). Policies draw only from
-	// the failed resource's per-resource stream, so every policy keeps
-	// the cross-worker determinism guarantee.
+	// resource; nil means UniformDispatch. Policies draw only from the
+	// failed resource's per-resource stream, so every policy keeps the
+	// cross-worker determinism guarantee.
 	Rehome Dispatch
 	// Tuner refreshes thresholds online (required).
 	Tuner Tuner
