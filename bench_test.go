@@ -785,13 +785,20 @@ func roundLogBench(tb testing.TB) ([]serve.RoundRecord, []byte) {
 
 // TestRoundLogBenchBytes pins the bytes of roundLogBench's log, which
 // AppendRecord writes: 461,700 weights, each the shortest decimal that
-// reads back to it. The digest was recorded while strconv formatted
-// every weight.
+// reads back to it. WriteRoundLog, which formats every record into one
+// reused buffer, must write the same bytes. The digest was recorded
+// while strconv formatted every weight.
 func TestRoundLogBenchBytes(t *testing.T) {
-	_, log := roundLogBench(t)
+	recs, log := roundLogBench(t)
+	var whole bytes.Buffer
+	if err := WriteRoundLog(&whole, recs); err != nil {
+		t.Fatal(err)
+	}
 	const want = "22f306ee3edcfa3f3db5c00819ea64de23df9577b0cb7e88821cded2405855f6"
-	if got := fmt.Sprintf("%x", sha256.Sum256(log)); got != want {
-		t.Fatalf("round log SHA-256 %s, want %s", got, want)
+	for _, b := range [][]byte{log, whole.Bytes()} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Fatalf("round log SHA-256 %s, want %s", got, want)
+		}
 	}
 }
 
