@@ -450,6 +450,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *checkpointDir != "" && *checkpointEvery <= 0 {
 		return fmt.Errorf("-checkpoint-dir needs -checkpoint-every")
 	}
+	// A directory that cannot take the checkpoints fails here, not at
+	// the first cadence round after simulating every round before it.
+	if *checkpointDir != "" {
+		if fi, err := os.Stat(*checkpointDir); err != nil {
+			return fmt.Errorf("-checkpoint-dir: %w", err)
+		} else if !fi.IsDir() {
+			return fmt.Errorf("-checkpoint-dir %s is not a directory", *checkpointDir)
+		}
+	}
 	if *resumePath != "" && *crashAtRound > 0 {
 		return fmt.Errorf("-resume and -crash-at-round are mutually exclusive: the crash drill scripts the run that writes the checkpoint; resume without it (or rerun the original flags to crash again)")
 	}

@@ -301,11 +301,17 @@ func httpGet(t *testing.T, url string) string {
 }
 
 // TestCheckpointFlagValidation pins the error message for each invalid
-// checkpoint-flag combination — in particular the mutually-exclusive
-// -resume + -crash-at-round pair, where the crash drill belongs to the
-// run that WRITES the checkpoint: a resumed run at or past the crash
-// round would silently never fire it.
+// checkpoint-flag combination. A -checkpoint-dir that is missing or is
+// not a directory fails before round 0. The mutually-exclusive
+// -resume + -crash-at-round pair fails because the crash drill belongs
+// to the run that WRITES the checkpoint: a resumed run at or past the
+// crash round would silently never fire it.
 func TestCheckpointFlagValidation(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing")
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		extra   []string
@@ -315,6 +321,16 @@ func TestCheckpointFlagValidation(t *testing.T) {
 			name:    "checkpoint-dir without cadence",
 			extra:   []string{"-checkpoint-dir", t.TempDir()},
 			wantErr: "-checkpoint-dir needs -checkpoint-every",
+		},
+		{
+			name:    "checkpoint-dir missing",
+			extra:   []string{"-checkpoint-every", "50", "-checkpoint-dir", missing},
+			wantErr: "-checkpoint-dir: stat " + missing + ": no such file or directory",
+		},
+		{
+			name:    "checkpoint-dir a regular file",
+			extra:   []string{"-checkpoint-every", "50", "-checkpoint-dir", file},
+			wantErr: "-checkpoint-dir " + file + " is not a directory",
 		},
 		{
 			name:    "resume with crash drill",
@@ -329,12 +345,15 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := runCLI(t, append(append([]string{}, smallRun...), tc.extra...)...)
+			stdout, _, err := runCLI(t, append(append([]string{}, smallRun...), tc.extra...)...)
 			if err == nil {
 				t.Fatalf("run accepted %v", tc.extra)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error = %q, want it to contain %q", err, tc.wantErr)
+			}
+			if stdout != "" {
+				t.Fatalf("refused only after starting the run:\n%s", stdout)
 			}
 		})
 	}
