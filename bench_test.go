@@ -716,6 +716,48 @@ func BenchmarkResume10k(b *testing.B) {
 	}
 }
 
+// BenchmarkResumeCheckpoint1k: the restart perfbench's sim workloads
+// time, on the warm 1,000-resource fleet at one worker — a Resume of
+// its snapshot, then a checkpoint of the resumed engine. One op is one
+// Resume and that engine's first checkpoint, which
+// BenchmarkCheckpoint10k's warm encoder cannot show: the allocs gate
+// fails if the checkpoint grows its buffer from empty again, or if the
+// restore goes back to one allocation per stack.
+func BenchmarkResumeCheckpoint1k(b *testing.B) {
+	g := graph.RandomRegular(1000, 16, newBenchRand())
+	config := func() dynamic.Config {
+		cfg := checkpointBenchConfig(g, 200)
+		cfg.Workers = 1
+		return cfg
+	}
+	eng, err := dynamic.NewEngine(config())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	eng.Close()
+	snap := buf.Bytes()
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := dynamic.Resume(bytes.NewReader(snap), config())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Checkpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
 func newBenchRand() *rng.Rand { return rng.NewSeeded(0x9e3779b97f4a7c15) }
 
 // BenchmarkLiveIngest10k: the live serving runtime's hot path — 10k

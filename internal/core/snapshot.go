@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/snapshot"
+	"repro/internal/stack"
 )
 
 // Snapshot walks the state's checkpoint section through c: the round
@@ -24,9 +25,7 @@ func (s *State) Snapshot(c *snapshot.Codec) {
 	c.Bool(&s.liveWMaxDirty)
 	c.Int(&s.inflightN)
 	c.Float64(&s.inflightW)
-	for r := range s.stacks {
-		s.stacks[r].Snapshot(c)
-	}
+	stack.Snapshot(c, s.stacks)
 	if !c.Reading() {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -105,7 +106,7 @@ func (en *Engine) Close() {
 // components included); mismatches the snapshot can detect fail here
 // with a structured error.
 func Resume(r io.Reader, cfg Config) (*Engine, error) {
-	data, err := io.ReadAll(r)
+	data, err := readSnapshot(r)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: reading snapshot: %w", err)
 	}
@@ -121,6 +122,10 @@ func Resume(r io.Reader, cfg Config) (*Engine, error) {
 		e.close()
 		return nil, err
 	}
+	// Every read copies its value out of data, so once the walk is done
+	// nothing aliases it: the engine's checkpoints encode into it
+	// instead of growing a buffer from empty.
+	e.ckpt = snapshot.NewWriter(data)
 	// The crash drill fires when round CrashAfterRound completes; a
 	// snapshot already at or past it would otherwise resume into a run
 	// where the scripted crash silently never happens.
@@ -129,6 +134,42 @@ func Resume(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("dynamic: snapshot resumes at round %d, at or past Config.CrashAfterRound %d — the scripted crash can never fire; drop CrashAfterRound to resume", e.startRound, cfg.CrashAfterRound)
 	}
 	return &Engine{e: e}, nil
+}
+
+// readSnapshot reads r to EOF in one buffer sized, as os.ReadFile
+// sizes its own, from the length r reports: Len for an in-memory
+// reader such as *bytes.Reader, Stat for an *os.File. The extra byte
+// lets the read that reports EOF land without growing the buffer. The
+// size is a hint only: a reader that reports neither, or too little,
+// grows the buffer as it goes.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	size := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size())
+		}
+	}
+	size++
+	if size < 512 {
+		size = 512
+	}
+	data := make([]byte, 0, size)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 // checkpoint runs one cadence checkpoint: encode, announce on the
@@ -153,7 +194,7 @@ func (e *engine) checkpoint(round int) error {
 // SnapshotStater reporting an error can make it fail.
 func (e *engine) checkpointBytes() ([]byte, error) {
 	if e.ckpt == nil {
-		e.ckpt = snapshot.NewWriter()
+		e.ckpt = snapshot.NewWriter(nil)
 	}
 	e.ckpt.Reset()
 	if err := e.snapshot(e.ckpt); err != nil {

@@ -3,9 +3,15 @@ package dynamic
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -398,6 +404,135 @@ func TestManualEngineCheckpoint(t *testing.T) {
 	}
 }
 
+// shortLen is a reader whose Len reports fewer bytes than it holds.
+type shortLen struct{ *bytes.Reader }
+
+func (r shortLen) Len() int { return r.Reader.Len() / 3 }
+
+// TestResumedEngineOwnsItsState: Resume reads the snapshot into a
+// buffer of its own, sized from what the reader reports, and the
+// resumed engine then encodes its checkpoints into that buffer, so
+// nothing the engine keeps may alias the caller's bytes or the buffer.
+// The snapshot is resumed from a bytes.Reader and an *os.File, which
+// report their length, from an iotest.OneByteReader, which reports
+// none, and from a reader whose Len is too small. Right after each
+// Resume the caller's bytes are overwritten and a checkpoint is taken
+// at once; that checkpoint must equal the one the uninterrupted run
+// takes at the same boundary, and the rest of the run its Result and
+// its event stream.
+func TestResumedEngineOwnsItsState(t *testing.T) {
+	const n, rounds, at = 200, 120, 70
+	g := graph.RandomRegular(n, 8, rng.NewSeeded(7))
+	batches := make([][]float64, rounds)
+	wr := rng.NewSeeded(11)
+	for r := range batches {
+		batches[r] = task.Pareto{Alpha: 2, Cap: 20}.AppendWeights(nil, wr.Poisson(0.8*n/paretoMean), wr)
+	}
+	build := func(broker *obs.Broker) Config {
+		cfg := goldenConfig(n, core.ResourceControlled{Kernel: walk.NewLazy(walk.NewMaxDegree(g))},
+			g, Churn{LeaveProb: 0.3, JoinProb: 0.3, MinUp: 100}, 4, 2)
+		cfg.Arrivals = External{}
+		cfg.Rounds = rounds
+		cfg.Window = 40
+		cfg.CheckpointEvery = 30
+		cfg.Faults = &faults.Plan{Loss: 0.1, RetryBase: 1, RetryCap: 4, Timeout: 10}
+		cfg.Obs = broker
+		return cfg
+	}
+	finish := func(t *testing.T, eng *Engine, broker *obs.Broker, sub *obs.Subscription) (Result, []obs.Event) {
+		t.Helper()
+		for r := eng.NextRound(); r < rounds; r++ {
+			if _, err := eng.Step(StepInput{Weights: batches[r]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := eng.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		broker.Close()
+		return res, drainAll(sub)
+	}
+
+	// The uninterrupted run takes two checkpoints back to back at the
+	// boundary: the snapshot, and the one a resumed engine takes at once.
+	broker := obs.NewBroker()
+	sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 15, Kinds: detKinds})
+	eng, err := NewEngine(build(broker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < at; r++ {
+		if _, err := eng.Step(StepInput{Weights: batches[r]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap, again bytes.Buffer
+	if err := eng.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	want, wantEvs := finish(t, eng, broker, sub)
+	// The resumed stream starts at the second marker.
+	prefix := prefixThroughCheckpoint(t, wantEvs, at)
+	prefix = prefix[:len(prefix)-1]
+
+	path := filepath.Join(t.TempDir(), "ckpt.snap")
+	cases := []struct {
+		name string
+		open func(t *testing.T, b []byte) io.Reader
+	}{
+		{"bytes.Reader", func(_ *testing.T, b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"os.File", func(t *testing.T, b []byte) io.Reader {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+		{"OneByteReader", func(_ *testing.T, b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+		{"short Len", func(_ *testing.T, b []byte) io.Reader { return shortLen{bytes.NewReader(b)} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := bytes.Clone(snap.Bytes())
+			broker := obs.NewBroker()
+			sub := broker.Subscribe(obs.SubOptions{Capacity: 1 << 15, Kinds: detKinds})
+			eng, err := Resume(tc.open(t, b), build(broker))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Overwrite what the caller holds: the slice, and the file
+			// the os.File case read.
+			for i := range b {
+				b[i] = 0xa5
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := eng.Checkpoint(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), again.Bytes()) {
+				t.Fatal("checkpoint taken right after Resume differs from the uninterrupted run's")
+			}
+			res, evs := finish(t, eng, broker, sub)
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("resumed Result diverges\ngot  %+v\nwant %+v", res, want)
+			}
+			requireSameEvents(t, tc.name, append(append([]obs.Event(nil), prefix...), evs...), wantEvs)
+		})
+	}
+}
+
 // TestResumeSteadyStateZeroAllocs extends the zero-alloc contract to
 // the resumed engine with live cadence checkpointing: past restore and
 // encoder warm-up, steady-state rounds (checkpoint encoding included)
@@ -450,6 +585,95 @@ func TestResumeSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := res.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("resumed steady-state round allocates %d times/op (%d B/op), want 0",
 			allocs, res.AllocedBytesPerOp())
+	}
+}
+
+// simFleetConfig is the fleet of perfbench's sim workloads: 1,000
+// resources of a 16-regular expander, resource-controlled with the
+// lazy walk, thresholds self-tuned every fifth round, weight-
+// proportional service at one worker, and arrivals pushed in through
+// Step.
+func simFleetConfig(g *graph.Graph, rounds int) Config {
+	tuner := NewSelfTuner(walk.NewLazy(walk.NewMaxDegree(g)), 0.5)
+	tuner.Every = 5
+	return Config{
+		Graph:    g,
+		Protocol: core.ResourceControlled{Kernel: walk.NewLazy(walk.NewMaxDegree(g))},
+		Arrivals: External{},
+		Service:  WeightProportional{Rate: 1},
+		Tuner:    tuner,
+		Rounds:   rounds,
+		Seed:     20,
+		Workers:  1,
+	}
+}
+
+// TestResumeMallocs counts exactly, with runtime.MemStats.Mallocs, the
+// heap allocations of a restart of the 1k sim fleet: the Resume, a
+// checkpoint taken at once, and the 64 rounds after them. A restored
+// fleet's stacks share one arena with free slots above each stack, and
+// its first checkpoint encodes into the buffer Resume read, so none of
+// the three pays one allocation per stack, and the rounds after the
+// restart do not regrow every stack the Resume left without room.
+// Each count is the least of three restarts, so a stray allocation of
+// the runtime cannot fail it.
+func TestResumeMallocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const warm, after = 1024, 64
+	g := graph.RandomRegular(1000, 16, rng.NewSeeded(3))
+	wr := rng.NewSeeded(1)
+	batches := make([][]float64, warm+after)
+	for r := range batches {
+		batches[r] = task.Pareto{Alpha: 2, Cap: 20}.AppendWeights(nil, wr.Poisson(0.8*1000/paretoMean), wr)
+	}
+	step := func(eng *Engine, to int) {
+		for r := eng.NextRound(); r < to; r++ {
+			if _, err := eng.Step(StepInput{Weights: batches[r]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng, err := NewEngine(simFleetConfig(g, warm+after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(eng, warm)
+	var snap bytes.Buffer
+	if err := eng.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	resume, ckpt, rounds := uint64(math.MaxUint64), uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for rep := 0; rep < 3; rep++ {
+		cfg := simFleetConfig(g, warm+after)
+		runtime.GC()
+		m0 := mallocs()
+		eng, err := Resume(bytes.NewReader(snap.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1 := mallocs()
+		if err := eng.Checkpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		m2 := mallocs()
+		step(eng, warm+after)
+		m3 := mallocs()
+		eng.Close()
+		resume, ckpt, rounds = min(resume, m1-m0), min(ckpt, m2-m1), min(rounds, m3-m2)
+	}
+	t.Logf("%d-byte snapshot: Resume %d mallocs, checkpoint at once %d, next %d rounds %d", snap.Len(), resume, ckpt, after, rounds)
+	if resume > 250 || ckpt > 0 || rounds > 300 {
+		t.Fatalf("restart allocates %d (Resume) + %d (checkpoint) + %d (%d rounds) times, want at most 250 + 0 + 300",
+			resume, ckpt, rounds, after)
 	}
 }
 

@@ -24,7 +24,7 @@ var checkpointScratch = map[string]string{
 	"engine.curRound":     "the round in progress, set at the start of every round",
 	"engine.startRound":   "where run enters its loop: 0 when fresh, the recorded nextRound after Resume",
 	"engine.ev":           "reusable event buffer, overwritten before every publish",
-	"engine.ckpt":         "the writing codec, built at an engine's first checkpoint; it holds output, not state",
+	"engine.ckpt":         "the writing codec, built by Resume over the buffer it read or at a fresh engine's first checkpoint; it holds output, not state",
 	"engine.shards":       "per-worker round scratch and boundaries, which rebalancing re-cuts from measured cost",
 	"engine.weightsBuf":   "this round's arrival weights, drawn afresh every round",
 	"engine.loadBuf":      "window load scratch, refilled at every flush",

@@ -25,15 +25,19 @@ type Codec struct {
 	sec     Section  // the open section when reading; sec.err latches the first failure either way
 }
 
-// NewWriter returns a writing codec with its own encoder. Reuse it:
-// Reset keeps the buffer, so a cadence of snapshots allocates only
-// until the buffer reaches its high-water mark.
-func NewWriter() *Codec {
-	return &Codec{enc: NewEncoder()}
+// NewWriter returns a writing codec whose encoder builds its snapshots
+// in buf's backing array (nil for none). Reuse it: Reset keeps the
+// buffer, so a cadence of snapshots allocates only until the buffer
+// reaches its high-water mark, and encoding into a buf at least as
+// large as the snapshot allocates nothing.
+func NewWriter(buf []byte) *Codec {
+	return &Codec{enc: NewEncoder(buf)}
 }
 
 // NewReader returns a reading codec over data once NewDecoder has
-// verified its framing and file checksum.
+// verified its framing and file checksum. Every value the walk reads
+// is copied out of data, so once the walk is done the caller may
+// reuse data, for instance as a writer's buffer.
 func NewReader(data []byte) (*Codec, error) {
 	d, err := NewDecoder(data)
 	if err != nil {
@@ -49,6 +53,17 @@ func (c *Codec) Reading() bool { return c.reading }
 func (c *Codec) Reset() {
 	c.enc.Reset()
 	c.sec.err = nil
+}
+
+// Remaining reports how many bytes of the open section a reading codec
+// has yet to read: an upper bound a walk can size one buffer from
+// before it reads the elements. It is 0 after a failure and on a
+// writing codec.
+func (c *Codec) Remaining() int {
+	if c.dec == nil || c.sec.err != nil {
+		return 0
+	}
+	return len(c.sec.data) - c.sec.off
 }
 
 // Err returns the first failure of the walk, nil if none.

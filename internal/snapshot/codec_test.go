@@ -83,7 +83,7 @@ func fullSample() codecSample {
 // into an empty value unchanged.
 func TestCodecRoundTrip(t *testing.T) {
 	want := fullSample()
-	w := NewWriter()
+	w := NewWriter(nil)
 	for pass := 0; pass < 2; pass++ { // the second pass reuses the buffer
 		w.Reset()
 		want.walk(w)
@@ -93,7 +93,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	data := append([]byte(nil), w.Bytes()...)
 
-	enc := NewEncoder()
+	enc := NewEncoder(nil)
 	enc.Begin("alpha")
 	enc.Uint8(want.u8)
 	enc.Bool(want.b)
@@ -148,12 +148,51 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecRemaining: on a reading codec, Remaining counts down the
+// open section's unread bytes; it reads 0 on a writing codec and after
+// a failure.
+func TestCodecRemaining(t *testing.T) {
+	full := fullSample()
+	w := NewWriter(nil)
+	full.walk(w)
+	_ = w.Close()
+	if n := w.Remaining(); n != 0 {
+		t.Fatalf("writing codec: Remaining = %d, want 0", n)
+	}
+	var v codecSample
+	r, _ := NewReader(w.Bytes())
+	r.Begin("alpha")
+	for _, step := range []struct {
+		read func()
+		left int
+	}{
+		{func() {}, 38},
+		{func() { r.Uint8(&v.u8) }, 37},
+		{func() { r.Bool(&v.b) }, 36},
+		{func() { r.Uint64(&v.u64) }, 28},
+		{func() { r.Int(&v.i) }, 20},
+		{func() { r.Int32(&v.i32) }, 16},
+		{func() { r.Int64(&v.i64) }, 8},
+		{func() { r.Float64(&v.f) }, 0},
+	} {
+		step.read()
+		if n := r.Remaining(); n != step.left {
+			t.Fatalf("Remaining = %d, want %d", n, step.left)
+		}
+	}
+	r.End()
+	r.Begin("alpha") // out of order
+	if n := r.Remaining(); r.Err() == nil || n != 0 {
+		t.Fatalf("after a failure: Remaining = %d, Err = %v; want 0 and the failure", n, r.Err())
+	}
+}
+
 // TestCodecLatchesFirstFailure pins the reading codec's error rules:
 // the first failure wins, later Begin calls do not advance, later
 // reads yield zero, and Close reports that first failure.
 func TestCodecLatchesFirstFailure(t *testing.T) {
 	full := fullSample()
-	w := NewWriter()
+	w := NewWriter(nil)
 	full.walk(w)
 	_ = w.Close()
 	data := w.Bytes()

@@ -14,10 +14,10 @@ import (
 // reject without panicking — truncated, bit-flipped, and
 // section-reordered files.
 func fuzzSeeds() map[string][]byte {
-	enc := NewEncoder()
+	enc := NewEncoder(nil)
 	valid := append([]byte(nil), buildSample(enc)...)
 
-	w := NewWriter()
+	w := NewWriter(nil)
 	sample := fullSample()
 	sample.walk(w)
 	_ = w.Close()

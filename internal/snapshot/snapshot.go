@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // Version is the current snapshot format revision. Decoders reject
@@ -91,9 +92,10 @@ type Encoder struct {
 	finished     bool
 }
 
-// NewEncoder returns an encoder ready for Begin.
-func NewEncoder() *Encoder {
-	e := &Encoder{}
+// NewEncoder returns an encoder ready for Begin that builds its
+// snapshots in buf's backing array (nil for none).
+func NewEncoder(buf []byte) *Encoder {
+	e := &Encoder{buf: buf}
 	e.Reset()
 	return e
 }
@@ -432,10 +434,13 @@ func (s *Section) count(elemSize int) int {
 	return n
 }
 
+// The slice readers below refill dst[:0], growing it at most once, to
+// the recorded length.
+
 // Ints reads a length-prefixed []int into dst[:0].
 func (s *Section) Ints(dst []int) []int {
 	n := s.count(8)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Int())
 	}
@@ -445,7 +450,7 @@ func (s *Section) Ints(dst []int) []int {
 // Int32s reads a length-prefixed []int32 into dst[:0].
 func (s *Section) Int32s(dst []int32) []int32 {
 	n := s.count(4)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Int32())
 	}
@@ -455,7 +460,7 @@ func (s *Section) Int32s(dst []int32) []int32 {
 // Uint64s reads a length-prefixed []uint64 into dst[:0].
 func (s *Section) Uint64s(dst []uint64) []uint64 {
 	n := s.count(8)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Uint64())
 	}
@@ -465,7 +470,7 @@ func (s *Section) Uint64s(dst []uint64) []uint64 {
 // Float64s reads a length-prefixed []float64 into dst[:0].
 func (s *Section) Float64s(dst []float64) []float64 {
 	n := s.count(8)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Float64())
 	}
@@ -475,7 +480,7 @@ func (s *Section) Float64s(dst []float64) []float64 {
 // Bools reads a length-prefixed []bool into dst[:0].
 func (s *Section) Bools(dst []bool) []bool {
 	n := s.count(1)
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], n)
 	for i := 0; i < n && s.err == nil; i++ {
 		dst = append(dst, s.Bool())
 	}

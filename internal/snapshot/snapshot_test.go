@@ -135,14 +135,14 @@ func readSample(t *testing.T, data []byte) {
 
 // TestRoundTrip pins exact-value round-tripping of every primitive.
 func TestRoundTrip(t *testing.T) {
-	readSample(t, buildSample(NewEncoder()))
+	readSample(t, buildSample(NewEncoder(nil)))
 }
 
 // TestEncoderReuse pins the reusable-buffer contract: Reset cycles
 // produce identical bytes and, once the buffer reached its high-water
 // mark, encoding allocates nothing.
 func TestEncoderReuse(t *testing.T) {
-	enc := NewEncoder()
+	enc := NewEncoder(nil)
 	first := append([]byte(nil), buildSample(enc)...)
 	second := buildSample(enc)
 	if string(first) != string(second) {
@@ -157,7 +157,7 @@ func TestEncoderReuse(t *testing.T) {
 // original: each prefix must fail — at construction or while reading —
 // and never panic or decode cleanly.
 func TestTruncationMatrix(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewEncoder(nil))
 	for cut := 0; cut < len(data); cut++ {
 		func() {
 			defer func() {
@@ -175,7 +175,7 @@ func TestTruncationMatrix(t *testing.T) {
 // TestBitFlipMatrix flips one bit at every byte offset: the file-level
 // checksum must reject every mutation before any state is parsed.
 func TestBitFlipMatrix(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewEncoder(nil))
 	mut := make([]byte, len(data))
 	for off := 0; off < len(data); off++ {
 		copy(mut, data)
@@ -190,7 +190,7 @@ func TestBitFlipMatrix(t *testing.T) {
 // is a structured error naming both sections, not a misassembled
 // restore.
 func TestSectionOrderViolation(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewEncoder(nil))
 	d, err := NewDecoder(data)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSectionOrderViolation(t *testing.T) {
 // unconsumed bytes must each latch an *Error carrying the section name
 // and offset.
 func TestStructuredReadErrors(t *testing.T) {
-	enc := NewEncoder()
+	enc := NewEncoder(nil)
 	enc.Reset()
 	enc.Begin("s")
 	enc.Uint32(7)
@@ -266,7 +266,7 @@ func TestStructuredReadErrors(t *testing.T) {
 // TestDecoderClose pins the trailing checks: unconsumed sections and
 // trailing garbage both fail Close.
 func TestDecoderClose(t *testing.T) {
-	data := buildSample(NewEncoder())
+	data := buildSample(NewEncoder(nil))
 	d, _ := NewDecoder(data)
 	if _, err := d.Section("alpha"); err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestDecoderClose(t *testing.T) {
 	// A file whose header declares fewer sections than the body holds:
 	// re-seal with a valid CRC so only Close's trailing-bytes check can
 	// catch it.
-	enc := NewEncoder()
+	enc := NewEncoder(nil)
 	enc.Begin("only")
 	enc.Uint8(1)
 	enc.End()
@@ -308,27 +308,27 @@ func TestEncoderMisusePanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("nested Begin", func() {
-		enc := NewEncoder()
+		enc := NewEncoder(nil)
 		enc.Begin("a")
 		enc.Begin("b")
 	})
-	mustPanic("End without Begin", func() { NewEncoder().End() })
+	mustPanic("End without Begin", func() { NewEncoder(nil).End() })
 	mustPanic("Finish inside section", func() {
-		enc := NewEncoder()
+		enc := NewEncoder(nil)
 		enc.Begin("a")
 		enc.Finish()
 	})
 	mustPanic("Begin after Finish", func() {
-		enc := NewEncoder()
+		enc := NewEncoder(nil)
 		enc.Finish()
 		enc.Begin("a")
 	})
-	mustPanic("empty section name", func() { NewEncoder().Begin("") })
+	mustPanic("empty section name", func() { NewEncoder(nil).Begin("") })
 }
 
 // TestVersionRejected pins the format-revision gate.
 func TestVersionRejected(t *testing.T) {
-	data := append([]byte(nil), buildSample(NewEncoder())...)
+	data := append([]byte(nil), buildSample(NewEncoder(nil))...)
 	data[len(magic)] = 99 // version field
 	if _, err := NewDecoder(data); err == nil {
 		t.Fatal("future format version passed NewDecoder")
