@@ -691,19 +691,7 @@ func BenchmarkCheckpoint10k(b *testing.B) {
 // worker pool included. One op is one complete Resume.
 func BenchmarkResume10k(b *testing.B) {
 	g := graph.RandomRegular(10_000, 16, newBenchRand())
-	eng, err := dynamic.NewEngine(checkpointBenchConfig(g, 200))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.Checkpoint(&buf); err != nil {
-		b.Fatal(err)
-	}
-	eng.Close()
-	snap := buf.Bytes()
+	snap := warmSnapshot(b, checkpointBenchConfig(g, 200))
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -730,19 +718,7 @@ func BenchmarkResumeCheckpoint1k(b *testing.B) {
 		cfg.Workers = 1
 		return cfg
 	}
-	eng, err := dynamic.NewEngine(config())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.Checkpoint(&buf); err != nil {
-		b.Fatal(err)
-	}
-	eng.Close()
-	snap := buf.Bytes()
+	snap := warmSnapshot(b, config())
 	b.SetBytes(int64(len(snap)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -756,6 +732,24 @@ func BenchmarkResumeCheckpoint1k(b *testing.B) {
 		}
 		r.Close()
 	}
+}
+
+// warmSnapshot runs an engine of cfg to its horizon and returns its
+// checkpoint there.
+func warmSnapshot(b *testing.B, cfg dynamic.Config) []byte {
+	eng, err := dynamic.NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func newBenchRand() *rng.Rand { return rng.NewSeeded(0x9e3779b97f4a7c15) }
