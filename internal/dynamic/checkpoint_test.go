@@ -404,6 +404,60 @@ func TestManualEngineCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointBeforeFirstDeparture: a task set that has never
+// removed a task records no removal flags, and a checkpoint of it must
+// still resume. The snapshot is taken before round 0 of a run that
+// starts with four tasks and admits none; the resumed engine must
+// checkpoint to the same bytes and finish in the plain run's Result.
+func TestCheckpointBeforeFirstDeparture(t *testing.T) {
+	cfg := func() Config {
+		g := graph.Complete(20)
+		return Config{
+			Graph:          g,
+			Protocol:       core.UserControlled{Alpha: 1},
+			Arrivals:       None{},
+			Service:        WeightProportional{Rate: 1},
+			Tuner:          &OracleTuner{Eps: 0.5},
+			Rounds:         30,
+			Window:         10,
+			Seed:           3,
+			InitialWeights: []float64{3, 4, 5, 6},
+		}
+	}
+	full, err := Run(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := eng.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	resumed, err := Resume(bytes.NewReader(snap.Bytes()), cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	var again bytes.Buffer
+	if err := resumed.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Fatal("the resumed engine checkpoints to other bytes than the snapshot it resumed")
+	}
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, full) {
+		t.Fatal("resume before the first departure diverges from the plain run")
+	}
+}
+
 // shortLen is a reader whose Len reports fewer bytes than it holds.
 type shortLen struct{ *bytes.Reader }
 
