@@ -8,10 +8,11 @@ import (
 
 // Snapshot walks the set's complete state through c. Only the weights
 // are recorded, because a task's ID is its index. The free list and
-// the removed flags go verbatim: ID assignment is a pure function of
-// the LIFO free-list order, so a resumed run hands out exactly the IDs
-// the uninterrupted run would have. The weight aggregates (total,
-// wmax, wmin) go as recorded bit patterns, never recomputed: total is
+// the removed flags go verbatim (no flags for a set that has never
+// removed a task): ID assignment is a pure function of the LIFO
+// free-list order, so a resumed run hands out exactly the IDs the
+// uninterrupted run would have. The weight aggregates (total, wmax,
+// wmin) go as recorded bit patterns, never recomputed: total is
 // accumulated incrementally round by round, and a fresh summation
 // could land on a different last ulp.
 func (s *Set) Snapshot(c *snapshot.Codec) {
@@ -33,7 +34,15 @@ func (s *Set) Snapshot(c *snapshot.Codec) {
 	c.Float64(&s.total)
 	c.Float64(&s.wmax)
 	c.Float64(&s.wmin)
-	if c.Reading() && len(s.removed) != n {
+	if !c.Reading() {
+		return
+	}
+	switch len(s.removed) {
+	case 0:
+		// A set that has never removed a task keeps no flags.
+		s.removed = nil
+	case n:
+	default:
 		c.Fail(fmt.Errorf("task: snapshot set has %d removal flags for %d tasks", len(s.removed), n))
 	}
 }
