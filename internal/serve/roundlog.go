@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -34,9 +33,11 @@ import (
 // weight's neighbouring float64s, as strconv takes it (appendFloat),
 // and any other through strconv, so a line is exactly the bytes
 // json.Marshal writes. It reads each weight in one pass that builds the
-// decimal significand and divides it by a power of ten, correctly
-// rounded (parseFloat); a number that pass does not take, with more
-// than 19 digits or an exponent, goes to strconv. FuzzAppendFloat and
+// decimal significand and scales it by a power of ten, correctly
+// rounded, with a division below 2^53 and a multiply from there on
+// (parseFloat); a number that pass does not take, with more than 19
+// digits or an exponent, or one whose rounding the multiply cannot
+// settle, goes to strconv. FuzzAppendFloat and
 // FuzzParseFloat hold the two passes to strconv, byte for byte and bit
 // for bit. Any line not in AppendRecord's shape — hand-edited, spaced,
 // reordered — goes to the strict encoding/json decode every other
@@ -265,8 +266,9 @@ func appendInts(b []byte, key string, vs []int) []byte {
 // round's admitted backlog, which may hold up to MaxPending weights.
 func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
 	var (
-		recs []RoundRecord
-		ws   []float64
+		recs  []RoundRecord
+		ws    []float64
+		arena weightArena
 	)
 	err := lineio.Lines(r, 0, func(_ int, text []byte) error {
 		rec, err := decodeRecord(text, &ws)
@@ -276,6 +278,9 @@ func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
 		if err := validateRecord(&rec, len(recs)); err != nil {
 			return err
 		}
+		if len(rec.Weights) > 0 {
+			rec.Weights = arena.hold(rec.Weights)
+		}
 		recs = append(recs, rec)
 		return nil
 	})
@@ -283,6 +288,24 @@ func ReadRoundLog(r io.Reader) ([]RoundRecord, error) {
 		return nil, fmt.Errorf("serve: round log %w", err)
 	}
 	return recs, nil
+}
+
+// weightArena holds the weights of a log's records in shared chunks,
+// so that a read allocates once per chunk rather than once per record.
+// A chunk starts at 4 KB and doubles up to 256 KB, or is as large as
+// one record's weights.
+type weightArena []float64
+
+// hold copies ws into the arena and returns the copy, with len == cap:
+// an append to it moves it elsewhere instead of writing over the next
+// record's weights.
+func (a *weightArena) hold(ws []float64) []float64 {
+	if len(ws) > cap(*a)-len(*a) {
+		*a = make(weightArena, 0, max(len(ws), min(2*cap(*a), 1<<15), 1<<9))
+	}
+	i := len(*a)
+	*a = append(*a, ws...)
+	return (*a)[i:len(*a):len(*a)]
 }
 
 // decodeRecord decodes one round-log line: a line in AppendRecord's
@@ -303,7 +326,8 @@ func decodeRecord(text []byte, ws *[]float64) (RoundRecord, error) {
 // dispatch string of printable ASCII with nothing to unescape. Any
 // other line gives ok false and a zero record, for the strict decode;
 // a line it accepts gives what the strict decode would
-// (FuzzRoundLogCodec checks both). ws is scratch space for the weights.
+// (FuzzRoundLogCodec checks both). The record's weights are read into
+// *ws, scratch space that the next call overwrites.
 func parseRecord(p []byte, ws *[]float64) (rec RoundRecord, ok bool) {
 	if !cut(&p, `{"t":`) {
 		return RoundRecord{}, false
@@ -317,7 +341,7 @@ func parseRecord(p []byte, ws *[]float64) (rec RoundRecord, ok bool) {
 		return RoundRecord{}, false
 	}
 	if len(*ws) > 0 {
-		rec.Weights = slices.Clone(*ws)
+		rec.Weights = *ws
 	}
 	if rec.Down, ok = parseArray(&p, `,"down":[`, parseInt, nil); !ok {
 		return RoundRecord{}, false
@@ -354,20 +378,25 @@ func cut(p *[]byte, prefix string) bool {
 
 // parseArray parses key, which opens an array, and the non-empty array
 // of numbers after it, appending them to dst; an absent key leaves dst
-// as it is.
+// as it is. The loop reads a local copy of *p, which the compiler can
+// keep in registers, and stores it back once.
 func parseArray[T any](p *[]byte, key string, number func([]byte) (T, int), dst []T) ([]T, bool) {
 	if !cut(p, key) {
 		return dst, true
 	}
+	q := *p
 	for {
-		v, n := number(*p)
+		v, n := number(q)
 		if n == 0 {
 			return dst, false
 		}
-		dst, *p = append(dst, v), (*p)[n:]
-		if !cut(p, ",") {
-			return dst, cut(p, "]")
+		dst, q = append(dst, v), q[n:]
+		if len(q) == 0 || q[0] != ',' {
+			ok := cut(&q, "]")
+			*p = q
+			return dst, ok
 		}
+		q = q[1:]
 	}
 }
 
@@ -394,10 +423,10 @@ func parseInt(p []byte) (int, int) {
 // builds the decimal significand m, eight fraction digits per step
 // where eight are there, and counts the fraction digits k. The value
 // is m / 10^k correctly rounded, as strconv rounds it (FuzzParseFloat
-// holds it to strconv bit for bit). Any other number goes to
-// parseFloatSlow.
+// holds it to strconv bit for bit). Any other number, and one whose
+// rounding eiselLemire cannot settle, goes to parseFloatSlow.
 func parseFloat(p []byte) (float64, int) {
-	i, neg := 0, len(p) > 0 && p[0] == '-'
+	i, neg, ok := 0, len(p) > 0 && p[0] == '-', false
 	if neg {
 		i++
 	}
@@ -439,13 +468,13 @@ func parseFloat(p []byte) (float64, int) {
 	var v float64
 	if m < 1<<53 {
 		// Clinger's fast path: m and 10^k are exact float64s, so the
-		// division rounds once. divPow10 gives the same value, more
-		// slowly: BenchmarkReadRoundLog/canonical takes 28.1 ms/op
-		// with this branch and 30.8 without it (medians of twelve
-		// alternating pairs at -cpu 1 on 2-core x86-64; faster in 10).
+		// division rounds once. eiselLemire gives the same value, more
+		// slowly: BenchmarkReadRoundLog/canonical takes 9.96 ms/op with
+		// this branch and 10.56 without it (medians of five alternating
+		// pairs at -cpu 1 on 2-core x86-64; faster in 5).
 		v = float64(m) / pow10[k]
-	} else {
-		v = divPow10(m, k)
+	} else if v, ok = eiselLemire(m, k); !ok {
+		return parseFloatSlow(p)
 	}
 	if neg {
 		v = -v
@@ -481,28 +510,76 @@ func init() {
 	}
 }
 
-// divPow10 is m / 10^k rounded to the nearest float64, ties to even,
-// for 1 <= m < 2^64 and k <= 19; parseFloat calls it from 2^53 on. It
-// shifts m left by s so that the quotient q of the 128-bit m·2^s by
-// 10^k has 63 or 64 bits, keeps q's top 53 bits and rounds on the bits
-// it drops and the remainder r. m / 10^k lies in [10^-19, 2^64), so it
-// is a normal float64.
-func divPow10(m uint64, k int) float64 {
-	d := pow10u[k]
-	s := uint(63 - bits.Len64(m) + bits.Len64(d))
-	q, r := bits.Div64(m>>(64-s)|m<<(s-64), m<<s, d)
-	drop := uint(bits.Len64(q) - 53)
-	mant, rest, half := q>>drop, q&(1<<drop-1), uint64(1)<<(drop-1)
-	if rest > half || rest == half && (r != 0 || mant&1 == 1) {
-		mant++
-		if mant == 1<<53 {
-			mant >>= 1
-			drop++
+// eiselLemire is m / 10^k rounded to the nearest float64, ties to
+// even, for 1 <= m < 2^64 and k <= 19, or ok false when it cannot tell
+// which way the value rounds; parseFloat calls it from 2^53 on. It is
+// strconv's eiselLemire64 (Lemire, "Number Parsing at a Gigabyte per
+// Second", 2021) on the powers 10^-19..10^0 alone. m / 10^k lies in
+// [10^-19, 2^64), so it is a normal float64 and the range checks
+// eiselLemire64 makes cannot fail.
+//
+// With m shifted left until its top bit is set, its product with the
+// high word of 10^-k's truncated mantissa gives the value's leading
+// 128 bits, short by less than m units of the low word. The value's
+// 54 leading bits, the 53 kept and the rounding bit, are read from the
+// high word, above its low 9 bits. Only when the shortfall could carry
+// through those 9 bits does the mantissa's low word take a second
+// multiply; if a carry is still possible, or if the product lies
+// exactly halfway between two float64s, ok is false and the value goes
+// to strconv, which settles it in exact decimal arithmetic.
+func eiselLemire(m uint64, k int) (v float64, ok bool) {
+	clz := bits.LeadingZeros64(m)
+	m <<= clz
+	exp := uint64(217706*-k>>16+64+1023) - uint64(clz) // floor(-k·log2 10), rebiased
+	hi, lo := bits.Mul64(m, invPow10[k][0])
+	if hi&0x1ff == 0x1ff && lo+m < m {
+		yhi, ylo := bits.Mul64(m, invPow10[k][1])
+		var carry uint64
+		lo, carry = bits.Add64(lo, yhi, 0)
+		hi += carry
+		if hi&0x1ff == 0x1ff && lo+1 == 0 && ylo+m < m {
+			return 0, false
 		}
 	}
-	// m / 10^k = mant·2^(drop−s) with 2^52 <= mant < 2^53.
-	exp := uint64(1023 + 52 + int(drop) - int(s))
-	return math.Float64frombits(exp<<52 | mant&(1<<52-1))
+	msb := hi >> 63
+	mant := hi >> (msb + 9) // 54 bits
+	exp -= 1 ^ msb
+	if lo == 0 && hi&0x1ff == 0 && mant&3 == 1 {
+		return 0, false
+	}
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp++
+	}
+	return math.Float64frombits(exp<<52 | mant&(1<<52-1)), true
+}
+
+// invPow10[k] is the 128-bit mantissa of 10^-k, high word first,
+// truncated: floor(2^(127−e) / 10^k) for e = floor(-k·log2 10), the
+// entries of strconv's detailedPowersOfTen for exponents -19..0.
+var invPow10 = [20][2]uint64{
+	{0x8000000000000000, 0x0000000000000000},
+	{0xcccccccccccccccc, 0xcccccccccccccccc},
+	{0xa3d70a3d70a3d70a, 0x3d70a3d70a3d70a3},
+	{0x83126e978d4fdf3b, 0x645a1cac083126e9},
+	{0xd1b71758e219652b, 0xd3c36113404ea4a8},
+	{0xa7c5ac471b478423, 0x0fcf80dc33721d53},
+	{0x8637bd05af6c69b5, 0xa63f9a49c2c1b10f},
+	{0xd6bf94d5e57a42bc, 0x3d32907604691b4c},
+	{0xabcc77118461cefc, 0xfdc20d2b36ba7c3d},
+	{0x89705f4136b4a597, 0x31680a88f8953030},
+	{0xdbe6fecebdedd5be, 0xb573440e5a884d1b},
+	{0xafebff0bcb24aafe, 0xf78f69a51539d748},
+	{0x8cbccc096f5088cb, 0xf93f87b7442e45d3},
+	{0xe12e13424bb40e13, 0x2865a5f206b06fb9},
+	{0xb424dc35095cd80f, 0x538484c19ef38c94},
+	{0x901d7cf73ab0acd9, 0x0f9d37014bf60a10},
+	{0xe69594bec44de15b, 0x4c2ebe687989a9b3},
+	{0xb877aa3236a4b449, 0x09befeb9fad487c2},
+	{0x9392ee8e921d5d07, 0x3aff322e62439fcf},
+	{0xec1e4a7db69561a5, 0x2b31e9e3d06c32e5},
 }
 
 // eightDigits reports whether the eight bytes of v, read little-endian,
