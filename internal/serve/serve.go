@@ -58,7 +58,7 @@ type Options struct {
 	// LogWriter receives the round log, one JSONL record per stepped
 	// round, written ahead of the step in one Write. The runtime never
 	// syncs it: a record is on disk only once the writer's owner syncs
-	// it. Nil keeps the log in memory only (Records).
+	// it. Nil keeps no log.
 	LogWriter io.Writer
 	// OnShutdown, when non-nil, receives the engine's checkpoint bytes
 	// after the shutdown drain — the SIGTERM persistence hook. The
@@ -100,8 +100,10 @@ type Stats struct {
 
 // Runtime drives one engine with live inputs. Ingest and Reconfigure
 // are safe from any goroutine; StepRound (and therefore Run) must have
-// a single caller, and Finish/Checkpoint/Records only run once
-// stepping has stopped.
+// a single caller, and Finish/Checkpoint only run once stepping has
+// stopped. The runtime keeps nothing per round: the round log goes to
+// LogWriter, and the backlog alternates between two buffers, so its
+// memory is bounded by two of them, each at most MaxPending weights.
 type Runtime struct {
 	eng    *dynamic.Engine
 	opts   Options
@@ -109,14 +111,14 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	pending  []float64 // admitted weights awaiting their round
+	spare    []float64 // the batch last stepped: the next round's backlog buffer
 	pendDown []int     // staged drains
 	pendUp   []int     // staged adds
 	pendDisp string    // staged dispatch swap ("" = none)
 	draining bool
 	accepted int64
 	rejected int64
-	dispatch string // policy in force (for status/resume bookkeeping)
-	records  []RoundRecord
+	dispatch string            // policy in force (for status/resume bookkeeping)
 	stats    dynamic.LiveStats // cached after each step
 
 	kick chan struct{} // adaptive-mode backlog signal, capacity 1
@@ -198,7 +200,10 @@ func (rt *Runtime) Reconfigure(down, up []int, dispatch string) error {
 
 // StepRound admits the staged batch and ops as one engine round,
 // write-ahead-logging the record first. Single caller only (Run, or a
-// test driving rounds manually).
+// test driving rounds manually). Ingest fills the other backlog buffer
+// meanwhile, and the batch stepped becomes the buffer the round after
+// this one fills: the engine copies a step's weights, so nothing holds
+// them once the round has stepped.
 func (rt *Runtime) StepRound() error {
 	rt.mu.Lock()
 	rec := RoundRecord{
@@ -208,7 +213,8 @@ func (rt *Runtime) StepRound() error {
 		Up:       rt.pendUp,
 		Dispatch: rt.pendDisp,
 	}
-	rt.pending, rt.pendDown, rt.pendUp, rt.pendDisp = nil, nil, nil, ""
+	rt.pending, rt.spare = rt.spare[:0], nil
+	rt.pendDown, rt.pendUp, rt.pendDisp = nil, nil, ""
 	rt.mu.Unlock()
 
 	if rec.Dispatch != "" {
@@ -236,7 +242,7 @@ func (rt *Runtime) StepRound() error {
 	st := rt.eng.Stats()
 
 	rt.mu.Lock()
-	rt.records = append(rt.records, rec)
+	rt.spare = rec.Weights
 	rt.stats = st
 	if rec.Dispatch != "" {
 		rt.dispatch = rec.Dispatch
@@ -333,14 +339,6 @@ func (rt *Runtime) Close() { rt.eng.Close() }
 // Checkpoint writes the engine's current snapshot to w. Not safe while
 // stepping.
 func (rt *Runtime) Checkpoint(w io.Writer) error { return rt.eng.Checkpoint(w) }
-
-// Records returns the rounds stepped so far (the in-memory round log).
-// The slice is a snapshot; its records alias the logged ones.
-func (rt *Runtime) Records() []RoundRecord {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]RoundRecord(nil), rt.records...)
-}
 
 // Stats snapshots the runtime for the status endpoint.
 func (rt *Runtime) Stats() Stats {

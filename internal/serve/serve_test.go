@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,12 +134,14 @@ func TestRoundLogFullBacklogRecord(t *testing.T) {
 // TestStepRoundLogBuffer: StepRound writes each record as AppendRecord
 // writes it, one line per round, formatted into a buffer the runtime
 // keeps, so once that buffer has grown to a round's size formatting the
-// line allocates nothing.
+// line allocates nothing. The records expected are the batches and ops
+// the test staged, and the log must read back to them.
 func TestStepRoundLogBuffer(t *testing.T) {
 	var log bytes.Buffer
 	rt := testRuntime(t, Options{LogWriter: &log})
 	r := rng.NewSeeded(11)
 	batch := make([]float64, 300)
+	var want []RoundRecord
 	for round := range 3 {
 		for i := range batch {
 			batch[i] = min(r.Pareto(1, 2), 20)
@@ -144,33 +149,172 @@ func TestStepRoundLogBuffer(t *testing.T) {
 		if _, err := rt.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
+		rec := RoundRecord{Round: round, Weights: slices.Clone(batch)}
 		if round == 1 {
 			if err := rt.Reconfigure([]int{3}, nil, "power-of-2"); err != nil {
 				t.Fatal(err)
 			}
+			rec.Down, rec.Dispatch = []int{3}, "power-of-2"
 		}
+		want = append(want, rec)
 		if err := rt.StepRound(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var want bytes.Buffer
-	for _, rec := range rt.Records() {
-		if err := AppendRecord(&want, &rec); err != nil {
+	var wantLog bytes.Buffer
+	for i := range want {
+		if err := AppendRecord(&wantLog, &want[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(log.Bytes(), want.Bytes()) {
-		t.Fatalf("StepRound logged:\n%s\nAppendRecord writes:\n%s", log.Bytes(), want.Bytes())
+	if !bytes.Equal(log.Bytes(), wantLog.Bytes()) {
+		t.Fatalf("StepRound logged:\n%s\nAppendRecord writes:\n%s", log.Bytes(), wantLog.Bytes())
+	}
+	recs, err := ReadRoundLog(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("the log reads back as %+v, want %+v", recs, want)
 	}
 	if len(rt.logBuf) == 0 || !bytes.HasSuffix(log.Bytes(), rt.logBuf) {
 		t.Fatalf("the runtime's buffer holds %q, not the last line logged", rt.logBuf)
 	}
 
-	rec := rt.Records()[0]
 	if n := testing.AllocsPerRun(100, func() {
-		rt.logBuf, _ = appendRecord(rt.logBuf[:0], &rec)
+		rt.logBuf, _ = appendRecord(rt.logBuf[:0], &want[0])
 	}); n != 0 {
 		t.Fatalf("appendRecord into the runtime's warm buffer: %v allocs, want 0", n)
+	}
+}
+
+// TestIngestWarmAllocs: StepRound hands the batch it stepped back as
+// the backlog buffer of the round after next, so once each of the two
+// buffers has held a round's batch, Ingest allocates nothing.
+func TestIngestWarmAllocs(t *testing.T) {
+	rt := testRuntime(t, Options{LogWriter: io.Discard})
+	batch := []float64{1, 2.5, 3, 19.99}
+	for round := range 8 {
+		// AllocsPerRun calls the function once before it counts, so
+		// every round admits two batches.
+		n := testing.AllocsPerRun(1, func() {
+			if _, err := rt.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if round >= 2 && n != 0 {
+			t.Fatalf("round %d: Ingest into a warm backlog buffer: %v allocs, want 0", round, n)
+		}
+		if err := rt.StepRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestDuringStepRound: an Ingest that runs while StepRound steps
+// a batch fills the other backlog buffer, never the batch being
+// stepped (the race job runs this package). Rounds step for as long as
+// the ingester runs. Every weight is ingested once, so the log must
+// hold them all, each once and in order, and the log's replay must end
+// in the live Result.
+func TestIngestDuringStepRound(t *testing.T) {
+	const batches = 400
+	cfg := func() dynamic.Config {
+		cfg := twinCfg("steady", 2, 2)
+		cfg.Rounds = 1 << 20 // the ingester decides how many rounds step
+		return cfg
+	}
+	eng, err := dynamic.NewEngine(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	rt := New(eng, "", Options{LogWriter: &log})
+	defer rt.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := range batches {
+			if _, err := rt.Ingest([]float64{float64(1 + 2*b), float64(2 + 2*b)}); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for stepping := true; stepping; {
+		select {
+		case <-done:
+			stepping = false // one more round steps the rest
+		default:
+		}
+		if err := rt.StepRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, err := rt.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadRoundLog(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, rec := range recs {
+		got = append(got, rec.Weights...)
+	}
+	for i, w := range got {
+		if w != float64(i+1) {
+			t.Fatalf("logged weight %d is %v, want %d (%d weights logged, %d ingested)", i, w, i+1, len(got), 2*batches)
+		}
+	}
+	if len(got) != 2*batches {
+		t.Fatalf("%d weights logged, %d ingested", len(got), 2*batches)
+	}
+	twin, err := dynamic.NewEngine(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	replayed, err := Replay(twin, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("replay diverges from the live Result:\nlive:   %+v\nreplay: %+v", live, replayed)
+	}
+	t.Logf("%d rounds stepped while %d batches were ingested", len(recs), batches)
+}
+
+// TestReadRoundLogArena: ReadRoundLog copies every record's weights
+// into shared chunks, each record's window with len == cap, so that an
+// append to one record's weights leaves the next record's alone. The
+// log mixes lines its own parser reads with a spaced one that takes
+// the strict decode, and a record without weights.
+func TestReadRoundLogArena(t *testing.T) {
+	log := `{"t":0,"w":[1,2.5]}` + "\n" +
+		`{"t":1,"w":[3, 4, 5]}` + "\n" +
+		`{"t":2}` + "\n" +
+		`{"t":3,"w":[6]}` + "\n" +
+		`{"t":4,"w":[7,8]}` + "\n"
+	recs, err := ReadRoundLog(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{1, 2.5}, {3, 4, 5}, nil, {6}, {7, 8}}
+	for i := range recs {
+		if w := recs[i].Weights; cap(w) != len(w) {
+			t.Fatalf("record %d: weights have len %d, cap %d", i, len(w), cap(w))
+		}
+	}
+	for i := range recs {
+		recs[i].Weights = append(recs[i].Weights, 99)
+	}
+	for i := range recs {
+		if got := recs[i].Weights[:len(recs[i].Weights)-1]; !slices.Equal(got, want[i]) {
+			t.Fatalf("after appending to every record, record %d holds %v, want %v", i, got, want[i])
+		}
 	}
 }
 
@@ -254,7 +398,8 @@ func TestIngestRejections(t *testing.T) {
 }
 
 func TestReconfigureValidatesDispatch(t *testing.T) {
-	rt := testRuntime(t, Options{})
+	var log bytes.Buffer
+	rt := testRuntime(t, Options{LogWriter: &log})
 	if err := rt.Reconfigure(nil, nil, "bogus"); err == nil {
 		t.Fatal("Reconfigure accepted an unknown dispatch policy")
 	}
@@ -268,7 +413,10 @@ func TestReconfigureValidatesDispatch(t *testing.T) {
 	if err := rt.StepRound(); err != nil {
 		t.Fatal(err)
 	}
-	recs := rt.Records()
+	recs, err := ReadRoundLog(bytes.NewReader(log.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
