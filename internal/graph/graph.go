@@ -231,9 +231,6 @@ func (g *Graph) IsBipartite() bool {
 	return true
 }
 
-// DegreeSum returns Σ_v deg(v) = 2·M.
-func (g *Graph) DegreeSum() int { return len(g.adj) }
-
 // Complete returns the complete graph K_n. It writes the CSR arrays
 // directly: row v holds 0..n-1 without v, in ascending order, which is
 // what Build makes of every pair, and K_n is connected. It panics if

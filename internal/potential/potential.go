@@ -14,11 +14,7 @@
 // facts empirically (experiment E8).
 package potential
 
-import (
-	"math"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // NonIncreasing reports whether trace is non-increasing up to tol, and
 // if not, the first violating index i (trace[i] > trace[i-1] + tol).
@@ -42,19 +38,6 @@ func TimeToZero(trace []float64) int {
 	return -1
 }
 
-// DropRatios returns the per-step ratios Φ(t+1)/Φ(t) for all t with
-// Φ(t) > 0. A geometric decay with rate 1−δ shows up as ratios
-// concentrated near 1−δ.
-func DropRatios(trace []float64) []float64 {
-	var out []float64
-	for i := 1; i < len(trace); i++ {
-		if trace[i-1] > 0 {
-			out = append(out, trace[i]/trace[i-1])
-		}
-	}
-	return out
-}
-
 // PhaseDropRatios returns Φ(t+phase)/Φ(t) sampled at phase boundaries
 // t = 0, phase, 2·phase, …, for all boundaries with Φ(t) > 0. Lemma 5
 // predicts a mean of at most 3/4 for phase = 2·H(G) under the
@@ -75,25 +58,6 @@ func PhaseDropRatios(trace []float64, phase int) []float64 {
 		out = append(out, trace[len(trace)-1]/trace[last])
 	}
 	return out
-}
-
-// GeometricDecayRate fits ln Φ(t) ≈ a·t + b over the positive prefix of
-// the trace and returns the per-step decay factor e^a along with the
-// fit's R². Returns (1, 0) when fewer than two positive points exist.
-func GeometricDecayRate(trace []float64) (factor, r2 float64) {
-	var xs, ys []float64
-	for i, v := range trace {
-		if v <= 0 {
-			break
-		}
-		xs = append(xs, float64(i))
-		ys = append(ys, math.Log(v))
-	}
-	if len(xs) < 2 {
-		return 1, 0
-	}
-	f := stats.FitLinear(xs, ys)
-	return math.Exp(f.Slope), f.R2
 }
 
 // MeanDrop pools traces and returns the average one-step relative drop

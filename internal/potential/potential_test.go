@@ -37,19 +37,6 @@ func TestTimeToZero(t *testing.T) {
 	}
 }
 
-func TestDropRatios(t *testing.T) {
-	got := DropRatios([]float64{8, 4, 2, 0, 0})
-	want := []float64{0.5, 0.5, 0}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestPhaseDropRatios(t *testing.T) {
 	// Trace halves every 2 steps: phase=2 ratios all 0.5.
 	trace := []float64{16, 12, 8, 6, 4, 3, 2}
@@ -83,27 +70,6 @@ func TestPhaseDropPanics(t *testing.T) {
 		}
 	}()
 	PhaseDropRatios([]float64{1}, 0)
-}
-
-func TestGeometricDecayRate(t *testing.T) {
-	// Φ(t) = 100·(0.8)^t.
-	trace := make([]float64, 30)
-	for i := range trace {
-		trace[i] = 100 * math.Pow(0.8, float64(i))
-	}
-	factor, r2 := GeometricDecayRate(trace)
-	if math.Abs(factor-0.8) > 1e-9 || r2 < 0.999 {
-		t.Fatalf("factor=%v r2=%v", factor, r2)
-	}
-}
-
-func TestGeometricDecayDegenerate(t *testing.T) {
-	if f, r2 := GeometricDecayRate([]float64{5}); f != 1 || r2 != 0 {
-		t.Fatalf("single point: %v %v", f, r2)
-	}
-	if f, _ := GeometricDecayRate([]float64{0, 0}); f != 1 {
-		t.Fatalf("zero trace: %v", f)
-	}
 }
 
 func TestMeanDrop(t *testing.T) {

@@ -149,10 +149,6 @@ func (s *Stack) PopOverflowAppend(t float64, dst []task.Task) []task.Task {
 	return dst
 }
 
-// Accepts reports whether a new task of weight w would be accepted: its
-// height would be the current load, so acceptance means load + w ≤ t.
-func (s *Stack) Accepts(w, t float64) bool { return s.load+w <= t }
-
 // RemoveIndices removes the tasks at the given (strictly increasing)
 // positions and returns them in stack order. Remaining tasks slide
 // down, preserving relative order — this models user-controlled

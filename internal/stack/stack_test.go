@@ -135,20 +135,6 @@ func TestPopOverflowKeepsAcceptedPrefix(t *testing.T) {
 	}
 }
 
-func TestAccepts(t *testing.T) {
-	s := mk(2, 2)
-	if !s.Accepts(1, 5) {
-		t.Fatal("should accept: 4+1 ≤ 5")
-	}
-	if !s.Accepts(1, 5.0) || s.Accepts(1.5, 5) {
-		t.Fatal("acceptance boundary wrong")
-	}
-	e := &Stack{}
-	if !e.Accepts(5, 5) {
-		t.Fatal("empty stack should accept weight == threshold")
-	}
-}
-
 func TestRemoveIndices(t *testing.T) {
 	s := mk(1, 2, 3, 4, 5)
 	removed := s.RemoveIndices([]int{1, 3})

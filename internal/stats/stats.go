@@ -167,56 +167,6 @@ func QuantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples at or above Hi
-	perWidth float64
-}
-
-// NewHistogram returns a histogram with buckets equal-width buckets
-// spanning [lo, hi). It panics if buckets <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram range empty")
-	}
-	return &Histogram{
-		Lo: lo, Hi: hi,
-		Counts:   make([]int, buckets),
-		perWidth: float64(buckets) / (hi - lo),
-	}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) * h.perWidth)
-		if i == len(h.Counts) { // guard against float rounding at Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // LinearFit holds an ordinary-least-squares fit y ≈ Slope·x + Intercept.
 type LinearFit struct {
 	Slope, Intercept float64

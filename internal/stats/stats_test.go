@@ -136,31 +136,6 @@ func TestQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.99, 2, 9.999, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("counts=%v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total=%d", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty range")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestFitLinearExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))
