@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -160,9 +163,12 @@ func FuzzParseFloat(f *testing.F) {
 		"9007199254740991.5", "1.9999999999999999", "0.99999999999999999",
 		// 2^53 − 1, 2^53, and m = 2^53 + 1 with one fraction digit.
 		"9007199254740991", "9007199254740992", "900719925474099.3",
-		// Significands of 16, 17, 19 and 20 digits.
+		// Significands of 16, 17, 19 and 20 digits; the largest of 19
+		// digits, with no fraction digit, ten and nineteen, the most
+		// eiselLemire takes.
 		"1.234567890123456", "19.999999999999996", "1.234567890123456789", "1.2345678901234567891",
-		"9999999999999999999", "18446744073709551615", "18446744073709551616",
+		"9999999999999999999", "999999999.9999999999", "0.9999999999999999999",
+		"18446744073709551615", "18446744073709551616",
 		// 19 and 20 fraction digits, and leading zeros.
 		"0.1234567890123456789", "0.12345678901234567891", "0.0000000000000000001",
 		"0.000001", "0.00000000000000000001", "1.00000001",
@@ -175,6 +181,15 @@ func FuzzParseFloat(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// A 17-digit weight, the shape of most of serve-live's, whose
+	// rounding eiselLemire settles only with its second multiply.
+	m := uint64(18102938282746233)
+	for ; !widerMultiply(m, 16); m++ {
+	}
+	if _, ok := eiselLemire(m, 16); !ok {
+		f.Fatalf("eiselLemire refuses %d·10^-16", m)
+	}
+	f.Add(fmt.Appendf(nil, "%d.%016d", m/1e16, m%1e16))
 	f.Fuzz(func(t *testing.T, p []byte) {
 		got, n := parseFloat(p)
 		want, wantN := parseFloatSlow(p)
@@ -265,6 +280,118 @@ func TestParseFloatTable(t *testing.T) {
 		}
 		check(b)
 	}
+}
+
+// widerMultiply reports whether eiselLemire(m, k) takes its second
+// multiply: whether the shortfall of the first could carry into the
+// bits it keeps.
+func widerMultiply(m uint64, k int) bool {
+	m <<= bits.LeadingZeros64(m)
+	hi, lo := bits.Mul64(m, invPow10[k][0])
+	return hi&0x1ff == 0x1ff && lo+m < m
+}
+
+// decimal is the significand m and fraction-digit count k of an
+// unsigned decimal number of at most 19 digits written without an
+// exponent; ok is false for a longer one.
+func decimal(b []byte) (m uint64, k int, ok bool) {
+	nd, frac := 0, false
+	for _, c := range b {
+		switch {
+		case c == '.':
+			frac = true
+		case m > 0 || c != '0':
+			m = m*10 + uint64(c-'0')
+			nd++
+			fallthrough
+		default:
+			if frac {
+				k++
+			}
+		}
+	}
+	return m, k, nd <= 19
+}
+
+// TestInvPow10: each entry of eiselLemire's table is the 128-bit
+// mantissa of 10^-k, truncated: floor(2^(127−e) / 10^k), e the
+// exponent eiselLemire assumes, and a number of exactly 128 bits.
+func TestInvPow10(t *testing.T) {
+	for k, got := range invPow10 {
+		e := -217706 * k >> 16
+		want := new(big.Int).Lsh(big.NewInt(1), uint(127-e))
+		want.Quo(want, new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil))
+		if want.BitLen() != 128 {
+			t.Fatalf("10^-%d: 2^%d / 10^%d has %d bits, want 128", k, 127-e, k, want.BitLen())
+		}
+		lo := new(big.Int).And(want, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		hi := new(big.Int).Rsh(want, 64).Uint64()
+		if got != [2]uint64{hi, lo} {
+			t.Fatalf("invPow10[%d] = %#x, want %#x", k, got, [2]uint64{hi, lo})
+		}
+	}
+}
+
+// TestEiselLemireCoverage calls eiselLemire directly. It must accept
+// every one of TestParseFloatTable's 100,000 weights shaped like
+// serve-live's, the same Pareto(2) draws capped at 20, and give each
+// back bit for bit, so that strconv reads none of the traffic. On exact
+// ties between two float64s from 2^53 on, integers and numbers with up
+// to three fraction digits, its rounding up would be wrong for a tie
+// whose even neighbour is the lower one, such as 9007199254740993: it
+// must refuse those, and may accept only a tie that rounds up, with
+// strconv's value. parseFloat must read every tie as strconv does.
+func TestEiselLemireCoverage(t *testing.T) {
+	r := rng.NewSeeded(0x9a25e)
+	var b []byte
+	for range 100_000 {
+		w := math.Min(r.Pareto(1, 2), 20)
+		b = appendFloat(b[:0], w)
+		m, k, _ := decimal(b)
+		if got, ok := eiselLemire(m, k); !ok || got != w {
+			t.Fatalf("%s: eiselLemire(%d, %d) = %v, %v; want %v", b, m, k, got, ok, w)
+		}
+	}
+	if _, ok := eiselLemire(9007199254740993, 0); ok {
+		t.Fatal("eiselLemire rounds 2^53+1, a tie, itself")
+	}
+	ties := []string{"9007199254740993", "9007199254740995", "18014398509481986", "4503599627370496.5", "4503599627370497.5"}
+	for range 10_000 {
+		// (2·odd+1)·2^(e−53) lies halfway between two float64s of
+		// [2^e, 2^(e+1)); below 2^53 it is written with 53−e fraction
+		// digits, from 2^53 on as an integer.
+		e := 50 + r.Intn(11)
+		odd := (r.Uint64()>>11|1<<52)<<1 | 1
+		if e >= 53 {
+			b = strconv.AppendUint(b[:0], odd<<(e-53), 10)
+		} else {
+			j := 53 - e
+			b = strconv.AppendUint(b[:0], odd*uint64(math.Pow(5, float64(j))), 10)
+			b = slices.Insert(b, len(b)-j, '.')
+		}
+		ties = append(ties, string(b))
+	}
+	tested, refused := 0, 0
+	for _, s := range ties {
+		m, k, ok := decimal([]byte(s))
+		if !ok || m < 1<<53 {
+			continue
+		}
+		tested++
+		want, wantN := parseFloatSlow([]byte(s))
+		tie, _ := new(big.Rat).SetString(s)
+		up := new(big.Rat).SetFloat64(want).Cmp(tie) > 0
+		if v, ok := eiselLemire(m, k); !ok {
+			refused++
+		} else if !up || v != want {
+			t.Fatalf("%s lies halfway between two float64s; eiselLemire(%d, %d) rounds it to %v, strconv to %v", s, m, k, v, want)
+		}
+		got, n := parseFloat([]byte(s))
+		if n != wantN || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: parseFloat gives %v length %d, strconv %v length %d", s, got, n, want, wantN)
+		}
+	}
+	t.Logf("eiselLemire refused %d of %d ties from 2^53 on", refused, tested)
 }
 
 // FuzzAppendFloat holds appendFloat to appendFloatSlow, strconv,
