@@ -426,7 +426,7 @@ func parseInt(p []byte) (int, int) {
 // holds it to strconv bit for bit). Any other number, and one whose
 // rounding eiselLemire cannot settle, goes to parseFloatSlow.
 func parseFloat(p []byte) (float64, int) {
-	i, neg, ok := 0, len(p) > 0 && p[0] == '-', false
+	i, neg := 0, len(p) > 0 && p[0] == '-'
 	if neg {
 		i++
 	}
@@ -473,8 +473,11 @@ func parseFloat(p []byte) (float64, int) {
 		// this branch and 10.56 without it (medians of five alternating
 		// pairs at -cpu 1 on 2-core x86-64; faster in 5).
 		v = float64(m) / pow10[k]
-	} else if v, ok = eiselLemire(m, k); !ok {
-		return parseFloatSlow(p)
+	} else {
+		var ok bool
+		if v, ok = eiselLemire(m, k); !ok {
+			return parseFloatSlow(p)
+		}
 	}
 	if neg {
 		v = -v
