@@ -249,6 +249,7 @@ func TestIngestDuringStepRound(t *testing.T) {
 		default:
 		}
 		if err := rt.StepRound(); err != nil {
+			<-done
 			t.Fatal(err)
 		}
 	}
