@@ -527,9 +527,10 @@ func init() {
 // 54 leading bits, the 53 kept and the rounding bit, are read from the
 // high word, above its low 9 bits. Only when the shortfall could carry
 // through those 9 bits does the mantissa's low word take a second
-// multiply; if a carry is still possible, or if the product lies
-// exactly halfway between two float64s, ok is false and the value goes
-// to strconv, which settles it in exact decimal arithmetic.
+// multiply. If a carry is still possible, or if the product lies
+// exactly halfway between two float64s of which the lower is the even
+// one, which the final round-half-up would miss, ok is false and the
+// value goes to strconv, which settles it in exact decimal arithmetic.
 func eiselLemire(m uint64, k int) (v float64, ok bool) {
 	clz := bits.LeadingZeros64(m)
 	m <<= clz
