@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -788,6 +789,39 @@ func TestDynamicInsertRemove(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariantsZeroAllocs: a warm state checks its invariants
+// without allocating, so a run with the check on every round stays
+// allocation-free, and a check after a clean one still finds a task
+// that has gone missing from every stack.
+func TestCheckInvariantsZeroAllocs(t *testing.T) {
+	g := graph.Complete(4)
+	s := NewState(g, task.NewEmptySet(), nil, FixedVector{V: []float64{4, 4, 4, 4}}, 1)
+	for i := 0; i < 12; i++ {
+		s.InsertTask(float64(1+i%3), i%4)
+	}
+	s.RemoveTaskAt(2, 0)
+	held := s.stacks[1].PopAt(0)
+	s.MarkInFlight(held)
+	for i := 0; i < 50; i++ {
+		s.Step(UserControlled{Alpha: 1})
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("CheckInvariants allocates %v times per call on a warm state, want 0", allocs)
+	}
+	r := s.Location(0)
+	lost := s.stacks[r].PopAt(0)
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("task %d off every stack: CheckInvariants = %v, want it lost", lost.ID, err)
 	}
 }
 
