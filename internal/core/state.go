@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -58,6 +59,9 @@ type State struct {
 	// in-flight mass, which CheckInvariants verifies.
 	inflightN int
 	inflightW float64
+
+	// CheckInvariants' per-task scratch, cleared at every call.
+	seen []bool
 }
 
 // LocInFlight is the Location sentinel for a live task held by the
@@ -262,7 +266,9 @@ func (s *State) InFlightLedger() (int, float64) { return s.inflightN, s.inflight
 // location map agrees with the stacks, loads equal summed weights,
 // and placed + in-flight weight equals W.
 func (s *State) CheckInvariants() error {
-	seen := make([]bool, s.ts.M())
+	seen := slices.Grow(s.seen[:0], s.ts.M())[:s.ts.M()]
+	clear(seen)
+	s.seen = seen
 	total := 0.0
 	for r := range s.stacks {
 		if err := s.stacks[r].CheckInvariants(); err != nil {

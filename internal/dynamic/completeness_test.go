@@ -51,6 +51,7 @@ var checkpointScratch = map[string]string{
 	"SelfTuner.srcU":      "the pooled sweep's input buffer, set before every step",
 	"SelfTuner.dstU":      "the pooled sweep's output buffer, set before every step",
 	"SelfTuner.diffuseUp": "set at the start of every pooled refresh",
+	"State.seen":          "CheckInvariants' per-task scratch, cleared at every call",
 }
 
 // TestCheckpointCompleteness round-trips a busy engine through
