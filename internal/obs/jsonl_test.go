@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func sampleEvents() []Event {
@@ -185,4 +187,57 @@ func TestSinkCloseBeforeBroker(t *testing.T) {
 		t.Fatalf("got %+v, want exactly the lane event", got)
 	}
 	b.Close()
+}
+
+// TestTraceSinkWritesRecords: a trace sink writes exactly the bytes
+// trace.WriteRecords writes for the KindTrace events published, in
+// order, and nothing for any other kind.
+func TestTraceSinkWritesRecords(t *testing.T) {
+	recs := []trace.Record{
+		{Round: 1, Task: 7, Op: trace.OpArrive, From: -1, To: 3, Weight: 2.5},
+		{Round: 2, Task: 7, Op: trace.OpHop, Cause: trace.CauseProtocol, From: 3, To: 1, Hops: 1},
+		{Round: 4, Task: 9, Op: trace.OpRetry, Cause: trace.CauseRetry, From: 0, To: 2, Attempt: 2, Latency: 3},
+		{Round: 6, Task: 7, Op: trace.OpDepart, From: 1, To: -1, Weight: 2.5, Hops: 1, Sojourn: 5},
+	}
+	var want bytes.Buffer
+	if err := trace.WriteRecords(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker()
+	var buf bytes.Buffer
+	sink := NewTraceSink(&buf, b, 64)
+	if sink == nil {
+		t.Fatal("NewTraceSink returned nil on open broker")
+	}
+	others := sampleEvents()
+	for i := range recs {
+		ev := others[i]
+		ev.Seq = 0
+		b.Publish(&ev)
+		tr := Event{Kind: KindTrace, Round: recs[i].Round, Trace: recs[i]}
+		b.Publish(&tr)
+	}
+	b.Close()
+	if err := sink.Close(); err != nil {
+		t.Fatalf("sink.Close: %v", err)
+	}
+	if got := buf.String(); got != want.String() {
+		t.Fatalf("trace sink wrote\n%s\nwant\n%s", got, want.String())
+	}
+
+	b = NewBroker()
+	buf.Reset()
+	sink = NewTraceSink(&buf, b, 64)
+	for i := range others {
+		ev := others[i]
+		ev.Seq = 0
+		b.Publish(&ev)
+	}
+	b.Close()
+	if err := sink.Close(); err != nil {
+		t.Fatalf("sink.Close: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("trace sink wrote %q for events of other kinds, want nothing", buf.String())
+	}
 }
