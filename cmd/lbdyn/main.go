@@ -507,7 +507,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	var tsink *obs.TraceSink
+	var tsink *obs.Sink
 	if *traceOut != "" {
 		w := io.Writer(stdout)
 		var f *os.File

@@ -288,7 +288,8 @@ func NewObsExporter(b *ObsBroker, capacity int) *ObsExporter {
 
 // ObsSink pumps a subscription to an io.Writer as JSONL on its own
 // goroutine — the run never blocks on the writer; a slow sink shows up
-// as counted drops. Close flushes and reports the first write error.
+// as counted drops. NewObsSink and NewObsTraceSink build one. Close
+// flushes and reports the first write error.
 type ObsSink = obs.Sink
 
 // NewObsSink attaches a JSONL sink to the broker. Returns nil if the
@@ -317,16 +318,12 @@ type TraceRecord = trace.Record
 // KindTraceHist events at every metrics-window boundary.
 type TraceSnapshot = trace.Snapshot
 
-// ObsTraceSink pumps a broker's KindTrace stream to an io.Writer as
-// bare-record JSONL on its own goroutine — the run never blocks on the
-// writer. The sink clears the broker sequence number, so the byte
-// stream is identical for every worker count.
-type ObsTraceSink = obs.TraceSink
-
-// NewObsTraceSink attaches a trace-record JSONL sink to the broker
-// (capacity <= 0 uses the default ring size). Returns nil if the broker
-// is closed.
-func NewObsTraceSink(w io.Writer, b *ObsBroker, capacity int) *ObsTraceSink {
+// NewObsTraceSink attaches a sink that writes the broker's KindTrace
+// stream as bare-record JSONL (capacity <= 0 uses the default ring
+// size). The sink clears the broker sequence number, so the byte
+// stream is identical for every worker count. Returns nil if the
+// broker is closed.
+func NewObsTraceSink(w io.Writer, b *ObsBroker, capacity int) *ObsSink {
 	return obs.NewTraceSink(w, b, capacity)
 }
 

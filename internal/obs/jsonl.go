@@ -21,7 +21,8 @@ import (
 // WriteEvents/ReadEvents are the symmetric codec; Sink pumps a
 // subscription to an io.Writer on its own goroutine (the engine never
 // blocks on the file — a slow disk shows up as counted drops, not
-// backpressure).
+// backpressure), as these lines or, for the KindTrace stream alone, as
+// bare trace.Record lines.
 
 // wireEvent is the JSONL line shape. Payload fields are pointers so
 // exactly the kind's payload is present on the wire, and so the reader
@@ -275,32 +276,58 @@ func fromWire(we *wireEvent) (Event, error) {
 	return ev, nil
 }
 
-// Sink pumps a broker subscription to an io.Writer as JSONL on its own
-// goroutine. Construct with NewSink; Close drains what is buffered,
-// flushes, and reports the first write error.
+// Sink pumps a broker subscription to an io.Writer on its own
+// goroutine, one JSON line per event. Construct with NewSink or
+// NewTraceSink; Close drains what is buffered, flushes, and reports
+// the first write error.
 type Sink struct {
 	sub  *Subscription
 	done chan struct{}
+	name string // "event" or "trace", for errors
 
 	mu  sync.Mutex
 	err error
 }
 
 // NewSink subscribes to the broker (all kinds unless o.Kinds narrows
-// them) and starts the pump goroutine. Returns nil if the broker is
-// already closed. The pump stops when the broker closes or Close is
-// called.
+// them) and starts a pump that writes each event as its wire object.
+// Returns nil if the broker is already closed. The pump stops when the
+// broker closes or Close is called.
 func NewSink(w io.Writer, b *Broker, o SubOptions) *Sink {
+	return newSink(w, b, o, "event", func(enc *json.Encoder, ev *Event) error {
+		we, err := toWire(ev)
+		if err != nil {
+			return err
+		}
+		return enc.Encode(we)
+	})
+}
+
+// NewTraceSink subscribes to the broker's KindTrace stream alone and
+// starts a pump that writes each event as a bare trace.Record line,
+// the format trace.WriteRecords writes and cmd/lbtrace reads. The
+// broker-side Seq is dropped on the way out, which is what makes the
+// written stream byte-identical across worker counts. Returns nil if
+// the broker is already closed; capacity <= 0 selects the default ring
+// size.
+func NewTraceSink(w io.Writer, b *Broker, capacity int) *Sink {
+	o := SubOptions{Capacity: capacity, Kinds: Mask(KindTrace)}
+	return newSink(w, b, o, "trace", func(enc *json.Encoder, ev *Event) error {
+		return enc.Encode(&ev.Trace)
+	})
+}
+
+func newSink(w io.Writer, b *Broker, o SubOptions, name string, encode func(*json.Encoder, *Event) error) *Sink {
 	sub := b.Subscribe(o)
 	if sub == nil {
 		return nil
 	}
-	s := &Sink{sub: sub, done: make(chan struct{})}
-	go s.pump(w)
+	s := &Sink{sub: sub, done: make(chan struct{}), name: name}
+	go s.pump(w, encode)
 	return s
 }
 
-func (s *Sink) pump(w io.Writer) {
+func (s *Sink) pump(w io.Writer, encode func(*json.Encoder, *Event) error) {
 	defer close(s.done)
 	bw := bufio.NewWriterSize(w, 64*1024)
 	enc := json.NewEncoder(bw)
@@ -311,11 +338,7 @@ func (s *Sink) pump(w io.Writer) {
 			break
 		}
 		for i := range evs {
-			we, err := toWire(&evs[i])
-			if err == nil {
-				err = enc.Encode(we)
-			}
-			if err != nil {
+			if err := encode(enc, &evs[i]); err != nil {
 				s.setErr(err)
 				// Keep draining so the publisher-side ring empties, but
 				// stop writing.
@@ -335,10 +358,13 @@ func (s *Sink) setErr(err error) {
 	}
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = fmt.Errorf("obs: event sink: %w", err)
+		s.err = fmt.Errorf("obs: %s sink: %w", s.name, err)
 	}
 	s.mu.Unlock()
 }
+
+// Dropped reports how many events the sink's bounded ring shed.
+func (s *Sink) Dropped() uint64 { return s.sub.Dropped() }
 
 // Close stops the pump after the buffered events drain and returns the
 // first error the sink hit (nil on a clean run). Safe to call after
