@@ -234,14 +234,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown arrival process %q", *arrivals)
 	}
 
-	var svc lb.Service
-	switch *service {
-	case "weight":
-		svc = lb.WeightProportionalService(*svcRate)
-	case "geom":
-		svc = lb.GeometricService(*geomP)
-	default:
-		return fmt.Errorf("unknown service discipline %q", *service)
+	svc, err := cli.Service(*service, *svcRate, *geomP)
+	if err != nil {
+		return err
 	}
 
 	var disp lb.Dispatch
@@ -258,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown dispatch %q", *dispatch)
 	}
 
-	kind, err := protocolKind(*proto)
+	kind, err := cli.Protocol(*proto)
 	if err != nil {
 		return err
 	}
@@ -748,19 +743,4 @@ func parseTriple(s string) (a, b, c int, err error) {
 		}
 	}
 	return v[0], v[1], v[2], nil
-}
-
-func protocolKind(s string) (lb.ProtocolKind, error) {
-	switch s {
-	case "user":
-		return lb.UserBased, nil
-	case "resource":
-		return lb.ResourceBased, nil
-	case "usergraph":
-		return lb.UserBasedGraph, nil
-	case "mixed":
-		return lb.MixedBased, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
-	}
 }

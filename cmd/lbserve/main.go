@@ -111,21 +111,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var svc lb.Service
-	switch *service {
-	case "weight":
-		svc = lb.WeightProportionalService(*svcRate)
-	case "geom":
-		svc = lb.GeometricService(*geomP)
-	default:
-		return fmt.Errorf("unknown service discipline %q", *service)
+	svc, err := cli.Service(*service, *svcRate, *geomP)
+	if err != nil {
+		return err
 	}
 
 	disp, err := lb.ParseLiveDispatch(*dispatch)
 	if err != nil {
 		return err
 	}
-	kind, err := protocolKind(*proto)
+	kind, err := cli.Protocol(*proto)
 	if err != nil {
 		return err
 	}
@@ -383,18 +378,3 @@ func syncDir(path string) {
 
 // rtNextRound reads the runtime's next round via its stats snapshot.
 func rtNextRound(rt *lb.LiveRuntime) int { return rt.Stats().NextRound }
-
-func protocolKind(s string) (lb.ProtocolKind, error) {
-	switch s {
-	case "user":
-		return lb.UserBased, nil
-	case "resource":
-		return lb.ResourceBased, nil
-	case "usergraph":
-		return lb.UserBasedGraph, nil
-	case "mixed":
-		return lb.MixedBased, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
-	}
-}

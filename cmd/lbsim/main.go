@@ -57,7 +57,7 @@ func main() {
 			placement[i] = int(s>>33) % g.N()
 		}
 	}
-	kind, err := protocolKind(*proto)
+	kind, err := cli.Protocol(*proto)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(2)
@@ -124,21 +124,6 @@ func main() {
 				fmt.Printf("  round %6d  phi=%.1f\n", i, v)
 			}
 		}
-	}
-}
-
-func protocolKind(s string) (lb.ProtocolKind, error) {
-	switch s {
-	case "user":
-		return lb.UserBased, nil
-	case "resource":
-		return lb.ResourceBased, nil
-	case "usergraph":
-		return lb.UserBasedGraph, nil
-	case "mixed":
-		return lb.MixedBased, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
 	}
 }
 

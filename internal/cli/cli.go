@@ -1,12 +1,14 @@
 // Package cli holds the flag-value parsing shared by the command-line
-// tools (lbsim, lbgraph): graph-family construction from string
-// parameters and protocol-name resolution.
+// tools (lbsim, lbgraph, lbdyn, lbserve): graph-family construction
+// from string parameters, protocol-name resolution and the service
+// discipline.
 package cli
 
 import (
 	"fmt"
 	"math"
 
+	lb "repro"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -68,4 +70,34 @@ func (sp GraphSpec) Build() (*graph.Graph, error) {
 // Kinds lists the accepted graph kind strings (for usage messages).
 func Kinds() []string {
 	return []string{"complete", "grid", "torus", "hypercube", "expander", "gnp", "cliquependant"}
+}
+
+// Protocol resolves a -proto value: user | resource | usergraph | mixed.
+func Protocol(name string) (lb.ProtocolKind, error) {
+	switch name {
+	case "user":
+		return lb.UserBased, nil
+	case "resource":
+		return lb.ResourceBased, nil
+	case "usergraph":
+		return lb.UserBasedGraph, nil
+	case "mixed":
+		return lb.MixedBased, nil
+	default:
+		return 0, fmt.Errorf("unknown protocol %q", name)
+	}
+}
+
+// Service resolves a -service value: weight serves rate weight-units
+// per resource per round, geom departs each task with probability p
+// per round.
+func Service(name string, rate, p float64) (lb.Service, error) {
+	switch name {
+	case "weight":
+		return lb.WeightProportionalService(rate), nil
+	case "geom":
+		return lb.GeometricService(p), nil
+	default:
+		return nil, fmt.Errorf("unknown service discipline %q", name)
+	}
 }

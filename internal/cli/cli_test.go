@@ -3,6 +3,8 @@ package cli
 import (
 	"strings"
 	"testing"
+
+	lb "repro"
 )
 
 func TestBuildEveryKind(t *testing.T) {
@@ -59,5 +61,34 @@ func TestKindsCoverBuild(t *testing.T) {
 		if _, err := spec.Build(); err != nil {
 			t.Fatalf("advertised kind %q fails: %v", kind, err)
 		}
+	}
+}
+
+func TestProtocol(t *testing.T) {
+	for name, want := range map[string]lb.ProtocolKind{
+		"user": lb.UserBased, "resource": lb.ResourceBased,
+		"usergraph": lb.UserBasedGraph, "mixed": lb.MixedBased,
+	} {
+		if got, err := Protocol(name); err != nil || got != want {
+			t.Fatalf("Protocol(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := Protocol("greedy"); err == nil || err.Error() != `unknown protocol "greedy"` {
+		t.Fatalf("Protocol(greedy) error = %v", err)
+	}
+}
+
+func TestService(t *testing.T) {
+	for name, want := range map[string]string{
+		"weight": lb.WeightProportionalService(2).Name(),
+		"geom":   lb.GeometricService(0.1).Name(),
+	} {
+		svc, err := Service(name, 2, 0.1)
+		if err != nil || svc.Name() != want {
+			t.Fatalf("Service(%q) = %v, %v; want %s", name, svc, err, want)
+		}
+	}
+	if _, err := Service("fifo", 1, 0.1); err == nil || err.Error() != `unknown service discipline "fifo"` {
+		t.Fatalf("Service(fifo) error = %v", err)
 	}
 }
