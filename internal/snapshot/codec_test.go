@@ -1,9 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,73 +80,138 @@ func fullSample() codecSample {
 	}
 }
 
-// TestCodecRoundTrip pins that one walk writes exactly the bytes the
-// Encoder primitives write for the same values, and reads them back
-// into an empty value unchanged.
+// edgeSample holds the values the other sample leaves out: a NaN with
+// a payload, the other extreme integers, false, and a walk whose
+// slices are all empty but one.
+func edgeSample() codecSample {
+	nan := math.Float64frombits(0x7FF8000000000001)
+	return codecSample{
+		u64: math.MaxUint64, i: math.MaxInt64, i32: math.MinInt32,
+		i64: math.MaxInt64, f: nan,
+		fs: []float64{nan, math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64},
+	}
+}
+
+// section is one named payload of a file spelled out by frame.
+type section struct {
+	name    string
+	payload []byte
+}
+
+// frame spells out a snapshot file around the given payloads with
+// encoding/binary and hash/crc32 alone, in the layout the package
+// comment gives, so that the tests' expected bytes do not come from
+// the code under test.
+func frame(secs ...section) []byte {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	le := binary.LittleEndian
+	b := le.AppendUint32([]byte("LBSNAP\r\n"), Version)
+	b = le.AppendUint32(b, uint32(len(secs)))
+	for _, s := range secs {
+		b = append(b, byte(len(s.name)))
+		b = append(b, s.name...)
+		b = le.AppendUint32(b, uint32(len(s.payload)))
+		b = append(b, s.payload...)
+		b = le.AppendUint32(b, crc32.Checksum(s.payload, table))
+	}
+	return le.AppendUint32(b, crc32.Checksum(b, table))
+}
+
+// layout spells out the file v's walk writes: fixed-width
+// little-endian integers, floats as their bit patterns, bools as one
+// byte, and a uint32 count before every slice. It is injective, so
+// two values with the same layout agree bit for bit.
+func layout(v *codecSample) []byte {
+	le := binary.LittleEndian
+	boolByte := func(b bool) byte {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	alpha := []byte{v.u8, boolByte(v.b)}
+	alpha = le.AppendUint64(alpha, v.u64)
+	alpha = le.AppendUint64(alpha, uint64(v.i))
+	alpha = le.AppendUint32(alpha, uint32(v.i32))
+	alpha = le.AppendUint64(alpha, uint64(v.i64))
+	alpha = le.AppendUint64(alpha, math.Float64bits(v.f))
+
+	beta := le.AppendUint32(nil, uint32(len(v.ints)))
+	for _, x := range v.ints {
+		beta = le.AppendUint64(beta, uint64(x))
+	}
+	beta = le.AppendUint32(beta, uint32(len(v.i32s)))
+	for _, x := range v.i32s {
+		beta = le.AppendUint32(beta, uint32(x))
+	}
+	beta = le.AppendUint32(beta, uint32(len(v.u64s)))
+	for _, x := range v.u64s {
+		beta = le.AppendUint64(beta, x)
+	}
+	beta = le.AppendUint32(beta, uint32(len(v.fs)))
+	for _, x := range v.fs {
+		beta = le.AppendUint64(beta, math.Float64bits(x))
+	}
+	beta = le.AppendUint32(beta, uint32(len(v.bs)))
+	for _, x := range v.bs {
+		beta = append(beta, boolByte(x))
+	}
+
+	gamma := le.AppendUint32(nil, uint32(v.n))
+	for _, p := range v.filled {
+		gamma = le.AppendUint64(gamma, uint64(p.id))
+		gamma = le.AppendUint64(gamma, math.Float64bits(p.w))
+	}
+	gamma = le.AppendUint32(gamma, uint32(len(v.pairs)))
+	for _, p := range v.pairs {
+		gamma = le.AppendUint64(gamma, uint64(p.id))
+		gamma = le.AppendUint64(gamma, math.Float64bits(p.w))
+	}
+	return frame(section{"alpha", alpha}, section{"beta", beta}, section{"gamma", gamma})
+}
+
+// TestCodecRoundTrip pins the format to the layout spelled out above:
+// one walk writes exactly those bytes, again after a Reset and without
+// allocating once its buffer is warm. Reading them back, into an empty
+// value or over one holding other values, restores every value bit
+// for bit: NaN payloads, infinities, negative zero, the extreme
+// integers, and empty slices.
 func TestCodecRoundTrip(t *testing.T) {
-	want := fullSample()
+	samples := []func() codecSample{fullSample, edgeSample}
 	w := NewWriter(nil)
-	for pass := 0; pass < 2; pass++ { // the second pass reuses the buffer
-		w.Reset()
-		want.walk(w)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+	for k := range samples {
+		want := samples[k]()
+		data := layout(&want)
+		for pass := 0; pass < 2; pass++ { // the second pass reuses the buffer
+			w.Reset()
+			want.walk(w)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), data) {
+				t.Fatalf("sample %d, pass %d: codec bytes differ from the spelled-out layout", k, pass)
+			}
 		}
-	}
-	data := append([]byte(nil), w.Bytes()...)
-
-	enc := NewEncoder(nil)
-	enc.Begin("alpha")
-	enc.Uint8(want.u8)
-	enc.Bool(want.b)
-	enc.Uint64(want.u64)
-	enc.Int(want.i)
-	enc.Int32(want.i32)
-	enc.Int64(want.i64)
-	enc.Float64(want.f)
-	enc.End()
-	enc.Begin("beta")
-	enc.Ints(want.ints)
-	enc.Int32s(want.i32s)
-	enc.Uint64s(want.u64s)
-	enc.Float64s(want.fs)
-	enc.Bools(want.bs)
-	enc.End()
-	enc.Begin("gamma")
-	for _, ps := range [][]codecPair{want.filled, want.pairs} {
-		enc.Uint32(uint32(len(ps)))
-		for _, p := range ps {
-			enc.Int(p.id)
-			enc.Float64(p.w)
+		for _, got := range []codecSample{{}, samples[1-k]()} {
+			r, err := NewReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.walk(r)
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(layout(&got), data) {
+				t.Fatalf("sample %d read back %+v\nwant %+v", k, got, want)
+			}
 		}
-	}
-	enc.End()
-	if ref := enc.Finish(); string(ref) != string(data) {
-		t.Fatal("codec bytes differ from the encoder's")
-	}
-
-	r, err := NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got codecSample
-	got.walk(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got.f) != math.Float64bits(want.f) {
-		t.Fatalf("-0 drifted to bits %#x", math.Float64bits(got.f))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("read back %+v\nwant %+v", got, want)
-	}
-
-	if allocs := testing.AllocsPerRun(50, func() {
-		w.Reset()
-		want.walk(w)
-		_ = w.Close()
-	}); allocs != 0 {
-		t.Fatalf("warm writing codec allocates %v times per snapshot, want 0", allocs)
+		if allocs := testing.AllocsPerRun(50, func() {
+			w.Reset()
+			want.walk(w)
+			_ = w.Close()
+		}); allocs != 0 {
+			t.Fatalf("warm writing codec allocates %v times per snapshot, want 0", allocs)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,33 +14,47 @@ import (
 // testdata/fuzz/FuzzDecoder: a pristine snapshot, one a Codec walk
 // reads in full, plus the three corruption families the decoder must
 // reject without panicking — truncated, bit-flipped, and
-// section-reordered files.
+// section-reordered files. Every file but the codec's is spelled out
+// with frame.
 func fuzzSeeds() map[string][]byte {
-	enc := NewEncoder(nil)
-	valid := append([]byte(nil), buildSample(enc)...)
+	le := binary.LittleEndian
+	alpha := []byte{0xAB, 1, 0}
+	alpha = le.AppendUint32(alpha, 0xDEADBEEF)
+	alpha = le.AppendUint64(alpha, 0x0123456789ABCDEF)
+	alpha = le.AppendUint64(alpha, uint64(-42&math.MaxUint64))
+	alpha = le.AppendUint32(alpha, uint32(-7&math.MaxUint32))
+	alpha = le.AppendUint64(alpha, 1<<63) // math.MinInt64
+	alpha = le.AppendUint64(alpha, math.Float64bits(math.Pi))
+	beta := le.AppendUint32(nil, 3)
+	for _, v := range []int64{3, -1, 1 << 40} {
+		beta = le.AppendUint64(beta, uint64(v))
+	}
+	beta = le.AppendUint32(beta, 2)
+	for _, v := range []int32{-2, 9} {
+		beta = le.AppendUint32(beta, uint32(v))
+	}
+	beta = le.AppendUint32(beta, 2)
+	beta = le.AppendUint64(beta, 0)
+	beta = le.AppendUint64(beta, math.MaxUint64)
+	beta = le.AppendUint32(beta, 0) // an empty []float64
+	var gamma []byte
+	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+		gamma = le.AppendUint64(gamma, math.Float64bits(f))
+	}
+	gamma = le.AppendUint64(gamma, 0x7FF8000000000001) // NaN with a payload
+	gamma = le.AppendUint32(gamma, 3)
+	gamma = append(gamma, 1, 0, 1)
+	valid := frame(section{"alpha", alpha}, section{"beta", beta}, section{"gamma", gamma})
 
-	w := NewWriter(nil)
 	sample := fullSample()
-	sample.walk(w)
-	_ = w.Close()
-	codecValid := append([]byte(nil), w.Bytes()...)
+	codecValid := layout(&sample)
 
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 
 	// Same sections, written in a different order: framing and
 	// checksums are all valid, only the order contract is violated.
-	enc.Reset()
-	enc.Begin("beta")
-	enc.Uint8(1)
-	enc.End()
-	enc.Begin("alpha")
-	enc.Uint8(2)
-	enc.End()
-	enc.Begin("gamma")
-	enc.Uint8(3)
-	enc.End()
-	reordered := append([]byte(nil), enc.Finish()...)
+	reordered := frame(section{"beta", []byte{1}}, section{"alpha", []byte{2}}, section{"gamma", []byte{3}})
 
 	return map[string][]byte{
 		"valid":             valid,
@@ -51,12 +67,11 @@ func fuzzSeeds() map[string][]byte {
 	}
 }
 
-// FuzzDecoder feeds arbitrary bytes through the full decode path —
-// construction, in-order section walk, every read primitive, Done and
-// Close — and then through a reading Codec, Len, Resize and Slice
-// included, the path every checkpoint restore takes. The contract
-// under fuzzing is purely "never panic, never allocate absurdly":
-// corrupt input must surface as an error.
+// FuzzDecoder feeds arbitrary bytes through the framing checks —
+// NewDecoder and Close — and then through a reading Codec, every
+// primitive, Len, Resize and Slice included, the path every checkpoint
+// restore takes. The contract under fuzzing is purely "never panic,
+// never allocate absurdly": corrupt input must surface as an error.
 func FuzzDecoder(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -65,27 +80,6 @@ func FuzzDecoder(f *testing.F) {
 		d, err := NewDecoder(data)
 		if err != nil {
 			return
-		}
-		for _, name := range []string{"alpha", "beta", "gamma"} {
-			sec, err := d.Section(name)
-			if err != nil {
-				return
-			}
-			sec.Uint8()
-			sec.Bool()
-			sec.Uint32()
-			sec.Uint64()
-			sec.Int()
-			sec.Int32()
-			sec.Int64()
-			sec.Float64()
-			sec.Ints(nil)
-			sec.Int32s(nil)
-			sec.Uint64s(nil)
-			sec.Float64s(nil)
-			sec.Bools(nil)
-			_ = sec.Done()
-			_ = sec.Err()
 		}
 		_ = d.Close()
 
