@@ -363,17 +363,19 @@ func (c *Codec) elems(elemSize int) []byte {
 	return b
 }
 
-// The slice walkers below write a length prefix and the elements;
-// reading, they refill *s in place, reusing its backing array and
-// growing it at most once, to the recorded length.
+// The slice walkers below write a length prefix and the elements,
+// appending to a local copy of the buffer that the compiler keeps in
+// registers; reading, they refill *s in place, reusing its backing
+// array and growing it at most once, to the recorded length.
 
 // Ints walks a length-prefixed []int.
 func (c *Codec) Ints(s *[]int) {
 	if !c.reading {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		b := binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
 		for _, v := range *s {
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(v))
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
+		c.buf = b
 		return
 	}
 	b := c.elems(8)
@@ -387,10 +389,11 @@ func (c *Codec) Ints(s *[]int) {
 // Int32s walks a length-prefixed []int32.
 func (c *Codec) Int32s(s *[]int32) {
 	if !c.reading {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		b := binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
 		for _, v := range *s {
-			c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(v))
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
 		}
+		c.buf = b
 		return
 	}
 	b := c.elems(4)
@@ -404,10 +407,11 @@ func (c *Codec) Int32s(s *[]int32) {
 // Uint64s walks a length-prefixed []uint64.
 func (c *Codec) Uint64s(s *[]uint64) {
 	if !c.reading {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		b := binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
 		for _, v := range *s {
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
+		c.buf = b
 		return
 	}
 	b := c.elems(8)
@@ -421,10 +425,11 @@ func (c *Codec) Uint64s(s *[]uint64) {
 // Float64s walks a length-prefixed []float64, bit patterns only.
 func (c *Codec) Float64s(s *[]float64) {
 	if !c.reading {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		b := binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
 		for _, v := range *s {
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
+		c.buf = b
 		return
 	}
 	b := c.elems(8)
@@ -439,10 +444,11 @@ func (c *Codec) Float64s(s *[]float64) {
 // or 1 is a failure.
 func (c *Codec) Bools(s *[]bool) {
 	if !c.reading {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
+		b := binary.LittleEndian.AppendUint32(c.buf, uint32(len(*s)))
 		for _, v := range *s {
-			c.buf = append(c.buf, boolByte(v))
+			b = append(b, boolByte(v))
 		}
+		c.buf = b
 		return
 	}
 	b := c.elems(1)
