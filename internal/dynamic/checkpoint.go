@@ -189,7 +189,7 @@ func (e *engine) checkpoint(round int) error {
 
 // checkpointBytes encodes the snapshot capturing the boundary entering
 // nextRound and publishes its KindCheckpoint marker. The returned slice
-// aliases the engine's reusable encoder buffer; encoding allocates
+// aliases the buffer of the engine's writing codec; encoding allocates
 // nothing once that buffer reaches its high-water mark. Only a
 // SnapshotStater reporting an error can make it fail.
 func (e *engine) checkpointBytes() ([]byte, error) {

@@ -195,7 +195,7 @@ func (c *Codec) Bytes() []byte {
 // Uint8 walks one byte.
 func (c *Codec) Uint8(v *uint8) {
 	if c.reading {
-		*v = c.read8()
+		*v = c.get8()
 	} else {
 		c.buf = append(c.buf, *v)
 	}
@@ -205,7 +205,7 @@ func (c *Codec) Uint8(v *uint8) {
 // is a failure.
 func (c *Codec) Bool(v *bool) {
 	if c.reading {
-		*v = c.readBool()
+		*v = c.getBool()
 	} else {
 		c.buf = append(c.buf, boolByte(*v))
 	}
@@ -214,7 +214,7 @@ func (c *Codec) Bool(v *bool) {
 // Uint64 walks a little-endian uint64.
 func (c *Codec) Uint64(v *uint64) {
 	if c.reading {
-		*v = c.read64()
+		*v = c.get64()
 	} else {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
 	}
@@ -223,7 +223,7 @@ func (c *Codec) Uint64(v *uint64) {
 // Int walks an int as its two's-complement 64-bit pattern.
 func (c *Codec) Int(v *int) {
 	if c.reading {
-		*v = int(c.read64())
+		*v = int(c.get64())
 	} else {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 	}
@@ -232,7 +232,7 @@ func (c *Codec) Int(v *int) {
 // Int32 walks an int32 as its two's-complement 32-bit pattern.
 func (c *Codec) Int32(v *int32) {
 	if c.reading {
-		*v = int32(c.read32())
+		*v = int32(c.get32())
 	} else {
 		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
 	}
@@ -241,7 +241,7 @@ func (c *Codec) Int32(v *int32) {
 // Int64 walks an int64 as its two's-complement pattern.
 func (c *Codec) Int64(v *int64) {
 	if c.reading {
-		*v = int64(c.read64())
+		*v = int64(c.get64())
 	} else {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
 	}
@@ -250,7 +250,7 @@ func (c *Codec) Int64(v *int64) {
 // Float64 walks the exact IEEE-754 bit pattern of a float64.
 func (c *Codec) Float64(v *float64) {
 	if c.reading {
-		*v = c.readFloat64()
+		*v = c.getFloat64()
 	} else {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
 	}
@@ -274,12 +274,11 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// Each fixed-width read half is one of the readers below: each
-// returns the next value of the open section, or latches a failure and
-// returns zero when too few bytes are left.
+// The readers below return the next value of the open section, or
+// latch a failure and return zero when too few bytes are left.
 
 //go:noinline
-func (c *Codec) read8() uint8 {
+func (c *Codec) get8() uint8 {
 	b := c.buf[c.off:]
 	if len(b) < 1 {
 		c.short(1)
@@ -290,8 +289,8 @@ func (c *Codec) read8() uint8 {
 }
 
 //go:noinline
-func (c *Codec) readBool() bool {
-	b := c.read8()
+func (c *Codec) getBool() bool {
+	b := c.get8()
 	if b > 1 {
 		c.fail(c.off, "bad bool byte %#x", b)
 		return false
@@ -300,7 +299,7 @@ func (c *Codec) readBool() bool {
 }
 
 //go:noinline
-func (c *Codec) read32() uint32 {
+func (c *Codec) get32() uint32 {
 	b := c.buf[c.off:]
 	if len(b) < 4 {
 		c.short(4)
@@ -311,7 +310,7 @@ func (c *Codec) read32() uint32 {
 }
 
 //go:noinline
-func (c *Codec) read64() uint64 {
+func (c *Codec) get64() uint64 {
 	b := c.buf[c.off:]
 	if len(b) < 8 {
 		c.short(8)
@@ -321,11 +320,11 @@ func (c *Codec) read64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// readFloat64 is read64 for Float64, whose walker the conversion would
+// getFloat64 is get64 for Float64, whose walker the conversion would
 // push over the inlining budget.
 //
 //go:noinline
-func (c *Codec) readFloat64() float64 {
+func (c *Codec) getFloat64() float64 {
 	b := c.buf[c.off:]
 	if len(b) < 8 {
 		c.short(8)
@@ -345,7 +344,7 @@ func (c *Codec) short(n int) {
 //
 //go:noinline
 func (c *Codec) count(elemSize int) int {
-	n := int(c.read32())
+	n := int(c.get32())
 	if left := len(c.buf) - c.off; n*elemSize > left {
 		c.fail(c.off, "declared length %d exceeds remaining payload (%d bytes)", n, left)
 		return 0
