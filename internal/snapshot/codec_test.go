@@ -170,28 +170,33 @@ func layout(v *codecSample) []byte {
 	return frame(section{"alpha", alpha}, section{"beta", beta}, section{"gamma", gamma})
 }
 
+var samples = []func() codecSample{fullSample, edgeSample}
+
 // TestCodecRoundTrip pins the format to the layout spelled out above:
-// one walk writes exactly those bytes, again after a Reset and without
-// allocating once its buffer is warm. Reading them back, into an empty
-// value or over one holding other values, restores every value bit
-// for bit: NaN payloads, infinities, negative zero, the extreme
-// integers, and empty slices.
+// one walk of each sample writes exactly those bytes.
 func TestCodecRoundTrip(t *testing.T) {
-	samples := []func() codecSample{fullSample, edgeSample}
-	w := NewWriter(nil)
-	for k := range samples {
-		want := samples[k]()
-		data := layout(&want)
-		for pass := 0; pass < 2; pass++ { // the second pass reuses the buffer
-			w.Reset()
-			want.walk(w)
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(w.Bytes(), data) {
-				t.Fatalf("sample %d, pass %d: codec bytes differ from the spelled-out layout", k, pass)
-			}
+	for k, sample := range samples {
+		want := sample()
+		w := NewWriter(nil)
+		want.walk(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(w.Bytes(), layout(&want)) {
+			t.Fatalf("sample %d: codec bytes differ from the spelled-out layout", k)
+		}
+	}
+}
+
+// TestRoundTrip pins exact-value round-tripping of every primitive:
+// reading a sample's layout back, into an empty value or over one
+// holding other values, restores every value bit for bit, NaN
+// payloads, infinities, negative zero, the extreme integers and empty
+// slices included.
+func TestRoundTrip(t *testing.T) {
+	for k, sample := range samples {
+		want := sample()
+		data := layout(&want)
 		for _, got := range []codecSample{{}, samples[1-k]()} {
 			r, err := NewReader(data)
 			if err != nil {
@@ -203,6 +208,28 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 			if !bytes.Equal(layout(&got), data) {
 				t.Fatalf("sample %d read back %+v\nwant %+v", k, got, want)
+			}
+		}
+	}
+}
+
+// TestEncoderReuse pins the writing codec's reusable-buffer contract:
+// a walk after Reset writes the same bytes again, also after the
+// buffer held another snapshot, and once the buffer reached its
+// high-water mark, writing allocates nothing.
+func TestEncoderReuse(t *testing.T) {
+	w := NewWriter(nil)
+	for k, sample := range samples {
+		want := sample()
+		data := layout(&want)
+		for pass := 0; pass < 2; pass++ {
+			w.Reset()
+			want.walk(w)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), data) {
+				t.Fatalf("sample %d, pass %d: bytes after Reset differ from the layout", k, pass)
 			}
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
